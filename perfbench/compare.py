@@ -16,8 +16,7 @@ metric improves), the base's own spread, and a verdict:
   worse       worse by more than the base's spread, within the bound
   same        within the base's spread
 
-Metrics without a bound (per-layer) are never regressions. Exits 1 when
-any metric regressed. A verdict from medians alone is not a claimed gain:
+Exits 1 when any metric regressed. A verdict from medians alone is not a claimed gain:
 that needs alternating paired runs (see perfbench/README.md).
 """
 
@@ -44,8 +43,8 @@ def main():
             if a != b:
                 print(f"  {key}: {a!r} vs {b!r}", file=sys.stderr)
         sys.exit(2)
-    if base.get("seconds") != new.get("seconds") or base.get("trace") != new.get("trace"):
-        print("perfbench: the two summaries used different run lengths or trace modes",
+    if base.get("seconds") != new.get("seconds"):
+        print("perfbench: the two summaries used different run lengths",
               file=sys.stderr)
         sys.exit(2)
 
@@ -64,8 +63,7 @@ def main():
             change = (n["median"] - b["median"]) / abs(b["median"])
             if b["better"] == "higher":
                 change = -change
-            bound = b.get("bound")
-            if bound is not None and change > bound:
+            if change > b["bound"]:
                 verdict = "REGRESSION"
                 regressions += 1
             elif change < -b["spread"]:

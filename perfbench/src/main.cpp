@@ -1,8 +1,8 @@
 // perf_bench: runs one reference workload and prints its metrics.
 //
 //   perf_bench --workload fig1_seq|k32_collapsed|sweep_grid|service_mix
-//              --seed N --seconds S --trace 0|1
-//              [--scratch DIR] [--out FILE] [--trace-out FILE] [--commit ID]
+//              --seed N --seconds S --trace 0|1 --scratch DIR --out FILE
+//              --commit ID [--trace-out FILE]
 //
 // --trace 0 measures the end-to-end metrics; --trace 1 repeats the work
 // untraced and traced and reports the per-layer metrics instead, writing
@@ -179,7 +179,7 @@ struct Args {
   RunConfig cfg;
   std::string out;
   std::string trace_out;
-  std::string commit = "unknown";
+  std::string commit;
 };
 
 Args parse_args(int argc, char** argv) {
@@ -214,12 +214,12 @@ Args parse_args(int argc, char** argv) {
       throw std::invalid_argument("unknown flag " + flag);
     }
   }
-  if (!have_workload || !have_seed || !have_seconds || !have_trace) {
+  if (!have_workload || !have_seed || !have_seconds || !have_trace ||
+      a.cfg.scratch.empty() || a.out.empty() || a.commit.empty()) {
     throw std::invalid_argument(
         "usage: perf_bench --workload NAME --seed N --seconds S --trace 0|1 "
-        "[--scratch DIR] [--out FILE] [--trace-out FILE] [--commit ID]");
+        "--scratch DIR --out FILE --commit ID [--trace-out FILE]");
   }
-  if (a.cfg.scratch.empty()) a.cfg.scratch = "perf_bench_scratch";
   return a;
 }
 
@@ -244,7 +244,6 @@ int run(int argc, char** argv) {
   for (const auto& [key, value] : fp) std::cout << "  host " << key << ": " << value << "\n";
 
   Report report;
-  now_s();  // start the clock's epoch before any span
   try {
     it->second(cfg, report);
   } catch (const std::exception& e) {
@@ -300,7 +299,7 @@ int run(int argc, char** argv) {
                              ", \"attempted\": " + std::to_string(report.attempted) +
                              ", \"failed\": " + std::to_string(report.failed) +
                              ", \"metrics\": " + metrics + "}";
-  if (!args.out.empty()) {
+  {
     std::ofstream out(args.out);
     out << "{\"workload\": " << quoted(cfg.workload) << ", \"seed\": " << cfg.seed
         << ", \"seconds\": " << number(cfg.seconds) << ", \"trace\": " << cfg.trace
@@ -324,6 +323,7 @@ int run(int argc, char** argv) {
 }  // namespace perfbench
 
 int main(int argc, char** argv) {
+  perfbench::now_s();  // the clock's epoch: process start for setup_cold_s
   try {
     return perfbench::run(argc, argv);
   } catch (const std::exception& e) {

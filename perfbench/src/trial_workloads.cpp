@@ -445,7 +445,7 @@ void run_fig1_seq(const RunConfig& cfg, Report& report) {
 
   std::vector<CellInputs> inputs;
   SweepSpec spec;
-  const double setup_s = median_setup_seconds([&] {
+  const double setup_s = median_setup_seconds(report, [&] {
     inputs.push_back(make_inputs(figure1_configuration(kN, kK)));
     warm_up(inputs[0], Path::kUsdEngine, kernels::KernelKind::kScalar, 100'000);
     warm_up(inputs[0], Path::kTableEngine, kernels::KernelKind::kScalar, 100'000);
@@ -488,7 +488,7 @@ void run_k32_collapsed(const RunConfig& cfg, Report& report) {
 
   std::vector<CellInputs> inputs;
   SweepSpec spec;
-  const double setup_s = median_setup_seconds([&] {
+  const double setup_s = median_setup_seconds(report, [&] {
     inputs.push_back(make_inputs(adversarial_configuration(
         kN, kK, static_cast<Count>(bounds::whp_bias(kN)))));
     warm_up(inputs[0], Path::kCollapsed, kernels::KernelKind::kScalar, kN / 2);
@@ -576,7 +576,7 @@ void run_sweep_grid(const RunConfig& cfg, Report& report) {
 
   std::vector<CellInputs> inputs;
   std::vector<SweepSpec> specs;
-  const double setup_s = median_setup_seconds([&] {
+  const double setup_s = median_setup_seconds(report, [&] {
     SweepSpec spec;
     spec.name = "sweep_grid";
     spec.trials = 512;  // the --trials auto cap

@@ -4,12 +4,12 @@
 Usage, from the root of a ppsim checkout:
 
     python3 perfbench/steady.py [--runs 10] [--first-seed 1] [--seconds S]
-                                [--workloads a,b] [--trace 0|1] [--json FILE]
+                                [--workloads a,b] [--json FILE]
 
 Each run goes through perfbench/run.py with its own seed (first-seed,
-first-seed + 1, ...). For every metric the tool prints the median, the
-first and third quartiles (statistics.quantiles(values, n=4)), and the
-spread: (q3 - q1) / median. A metric is flagged UNSTEADY when its spread
+first-seed + 1, ...) and --trace 0. For every end-to-end metric the tool
+prints the median, the first and third quartiles
+(statistics.quantiles(values, n=4)), and the spread: (q3 - q1) / median. A metric is flagged UNSTEADY when its spread
 exceeds 0.1, and its line also shows the bound BENCHMARK.json gives it and
 whether the spread is below a third of that bound. --json writes the raw
 values, the summaries and the host fingerprint, which perfbench/compare.py
@@ -33,9 +33,9 @@ def load_benchmark():
         return json.load(fh)
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -43,7 +43,7 @@ def run_once(workload, seed, seconds, trace):
         return None
     result = json.loads(lines[-1])
     bdir = os.path.abspath(os.environ.get("CARGO_TARGET_DIR") or ".bench_build")
-    full = os.path.join(bdir, "results", f"{workload}-seed{seed}-trace{trace}.json")
+    full = os.path.join(bdir, "results", f"{workload}-seed{seed}-trace0.json")
     with open(full) as fh:
         record = json.load(fh)
     return result, record
@@ -67,20 +67,17 @@ def main():
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--json", default="")
     args = ap.parse_args()
 
-    defs = bench["end_to_end"] if args.trace == 0 else bench["per_layer"]
-    bounds = {m["name"]: m.get("bound") for m in defs}
-    summary = {"seconds": args.seconds, "trace": args.trace, "fingerprint": None,
-               "workloads": {}}
+    defs = bench["end_to_end"]
+    summary = {"seconds": args.seconds, "fingerprint": None, "workloads": {}}
     failed_runs = 0
     for workload in args.workloads.split(","):
         values = {m["name"]: [] for m in defs}
         seeds = list(range(args.first_seed, args.first_seed + args.runs))
         for seed in seeds:
-            got = run_once(workload, seed, args.seconds, args.trace)
+            got = run_once(workload, seed, args.seconds)
             if got is None or not got[0]["correct"]:
                 failed_runs += 1
                 print(f"{workload} seed {seed}: FAILED", flush=True)
@@ -94,8 +91,7 @@ def main():
             for name in values:
                 values[name].append(result["metrics"][name]["value"])
             print(f"{workload} seed {seed}: " + ", ".join(
-                f"{n}={result['metrics'][n]['value']:.6g}" for n in values
-                if n in bounds and bounds[n] is not None), flush=True)
+                f"{n}={result['metrics'][n]['value']:.6g}" for n in values), flush=True)
         entry = {}
         print(f"\n{workload} ({len(values[defs[0]['name']])} runs, {args.seconds} s each)")
         print(f"  {'metric':<34}{'median':>14}{'q1':>14}{'q3':>14}{'spread':>9}"
@@ -105,13 +101,11 @@ def main():
             if not vals:
                 continue
             s = summarise(vals)
-            bound = bounds[m["name"]]
+            bound = m["bound"]
             verdict = "UNSTEADY" if s["spread"] > STEADY_SPREAD else "steady"
-            if bound is not None:
-                verdict += ", < bound/3" if s["spread"] < bound / 3 else ", >= bound/3"
-            bound_txt = f"{bound:7.2f}" if bound is not None else "      -"
+            verdict += ", < bound/3" if s["spread"] < bound / 3 else ", >= bound/3"
             print(f"  {m['name']:<34}{s['median']:14.6g}{s['q1']:14.6g}{s['q3']:14.6g}"
-                  f"{s['spread']:9.4f}{bound_txt}  {verdict}")
+                  f"{s['spread']:9.4f}{bound:7.2f}  {verdict}")
             entry[m["name"]] = dict(s, values=vals, unit=m["unit"], better=m["better"],
                                     bound=bound)
         summary["workloads"][workload] = entry
