@@ -102,8 +102,9 @@ std::vector<std::int64_t> pick_sorted(std::vector<std::int64_t> pool, std::size_
 
 /// The seeded request mix: `cold` new grids, `warm` re-submits and
 /// `stats` requests, interleaved at random, starting with a cold submit.
-/// Half the warm re-submits pick one of the two latest grids (memory hits),
-/// the rest any earlier grid (mostly disk hits once it is evicted).
+/// Half the warm re-submits pick one of the two latest grids, the rest any
+/// earlier grid; with disk hits promoting cells into the LRU, about 30% of
+/// the hits come from memory and 70% from disk.
 std::vector<Request> make_mix(std::uint64_t seed, std::size_t cold,
                               std::size_t warm, std::size_t stats,
                               std::vector<Grid>& grids) {
@@ -431,8 +432,8 @@ void measure_layers(RunningServer& server, const std::vector<Request>& mix,
 
 void run_service_mix(const RunConfig& cfg, Report& report) {
   const double seconds = cfg.trace ? cfg.seconds / 2.0 : cfg.seconds;
-  // About 1 s of work per second on the reference host, two thirds of it
-  // warm submits (~2 ms each) and a third cold ones (~40 ms each), so the
+  // About 1 s of work per second on the reference host, 60% of it warm
+  // submits (~2 ms each) and most of the rest cold ones (~45 ms each), so the
   // cache, net and json layers carry most of wall_s.
   const std::size_t cold = std::max<std::size_t>(2, std::lround(seconds * 8.0));
   const std::size_t warm = std::max<std::size_t>(kMinWarm, std::lround(seconds * 300.0));
