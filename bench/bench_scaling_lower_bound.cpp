@@ -172,7 +172,7 @@ int run(int argc, char** argv) {
             << ", R^2 = " << format_double(fit.affine_in_k.r_squared, 4) << "\n";
   std::cout << "proportional fit vs LB shape k·ln(sqrt(n)/(k ln n)): c = "
             << format_double(fit.lower_bound_shape.slope, 3)
-            << " (log factor ~constant at this n; see EXPERIMENTS.md)\n";
+            << " (log factor ~constant at this n; see docs/REPRODUCING.md)\n";
   std::cout << "proportional fit vs UB shape k·ln n:                 c = "
             << format_double(fit.upper_bound_shape.slope, 3) << "\n";
   std::cout << "min measured/LB ratio: "

@@ -4,7 +4,7 @@
 //
 //   * sequential  — generic table-driven Simulator, one interaction/step;
 //   * specialized — UsdEngine, the hand-tuned sequential USD engine;
-//   * batched     — BatchedSimulator, Θ(n) interactions per O(q²) round;
+//   * batched     — CollapsedSimulator, fixed n/divisor rounds, O(q²) each;
 //   * collapsed   — CollapsedSimulator, counts-space adaptive-τ rounds.
 //
 // Runs on the SweepRunner: one cell per engine, --trials trials per cell,

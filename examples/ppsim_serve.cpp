@@ -4,7 +4,6 @@
 //
 //   ppsim_serve --socket /tmp/ppsim.sock --cache-dir ~/.cache/ppsim
 //   ppsim_serve --socket /tmp/ppsim.sock --accept 4          # CI: bounded
-//   ppsim_serve --socket /tmp/ppsim.sock --rate 2 --burst 4  # admission
 //
 // Protocol: line-delimited JSON, one request per line (submit | stats |
 // archive_stats — see src/include/ppsim/net/server.hpp). Results stream
@@ -13,9 +12,9 @@
 // ppsim_client is the matching CLI; `nc -U` works in a pinch.
 //
 // The daemon is single-job-at-a-time by design (one sweep saturates the
-// worker pool) but accepts many connections; admission is a per-client
-// token bucket. --accept N exits after N connections close, which is how
-// the CI smoke lane runs a daemon without signal plumbing.
+// worker pool) but accepts many connections. --accept N exits after N
+// connections close, which is how the CI smoke lane runs a daemon without
+// signal plumbing.
 #include <iostream>
 
 #include "ppsim/net/server.hpp"
@@ -35,8 +34,6 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("cache-mem", 256));
   config.service.max_threads =
       static_cast<unsigned>(cli.get_int("threads", 0));
-  config.rate_per_second = cli.get_double("rate", 4.0);
-  config.rate_burst = cli.get_double("burst", 8.0);
   config.accept_limit = static_cast<std::uint64_t>(cli.get_int("accept", 0));
   cli.validate_no_unknown_flags();
   PPSIM_CHECK(!config.socket_path.empty(), "--socket PATH is required");

@@ -25,6 +25,11 @@ CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
   PPSIM_CHECK(options_.tau_epsilon > 0.0 && options_.tau_epsilon <= 1.0,
               "tau_epsilon must be in (0, 1]");
   PPSIM_CHECK(options_.max_round >= 0, "max_round must be non-negative");
+  PPSIM_CHECK(options_.round_divisor >= 0, "round_divisor must be non-negative");
+  if (options_.round_divisor > 0) {
+    fixed_round_ =
+        std::max<Interactions>(1, config_.population() / options_.round_divisor);
+  }
 }
 
 CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
@@ -71,15 +76,19 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
     return false;
   }
 
-  const Interactions batch = choose_tau(max_interactions);
+  const Interactions batch = fixed_round_ > 0
+                                 ? std::min(fixed_round_, max_interactions)
+                                 : choose_tau(max_interactions);
   last_round_size_ = batch;
   interactions_ = sat_add(interactions_, batch);
 
-  if (batch == 1) {
-    // Exact single-draw path: Bernoulli(active/total) selects "some non-null
-    // pair", then the alias table picks which one — the product law is
-    // exactly w(a,b)/n(n−1). Null draws leave the counts (and therefore the
-    // alias table) untouched, so the O(S²) rebuild amortizes over them.
+  if (batch == 1 && fixed_round_ == 0) {
+    // Exact single-draw path, adaptive policy only (fixed rounds keep the
+    // kernel's draw sequence at every size): Bernoulli(active/total)
+    // selects "some non-null pair", then the alias table picks which one —
+    // the product law is exactly w(a,b)/n(n−1). Null draws leave the counts
+    // (and therefore the alias table) untouched, so the O(S²) rebuild
+    // amortizes over them.
     if (rng_.bernoulli(law_.active_weight() / law_.total_weight())) {
       const kernels::ApplyResult applied =
           kernels::apply_one(law_, config_, law_.alias().sample(rng_), 1);

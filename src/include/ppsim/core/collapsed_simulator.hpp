@@ -1,28 +1,38 @@
 // Counts-space ("collapsed") simulation engine for population protocols.
 //
-// The sequential Simulator materializes nothing but already works on counts;
-// its cost is still one RNG draw per *interaction*, and the BatchedSimulator
-// leaps in fixed rounds of n/divisor interactions regardless of how fast the
-// configuration is actually moving. This engine simulates the pair-count
-// Markov chain directly and is built for populations far beyond what either
-// can reach (n = 10^9–10^11):
+// The sequential Simulator already works on counts, but its cost is one RNG
+// draw per *interaction*. This engine simulates the pair-count Markov chain
+// directly in rounds and is built for populations far beyond what the
+// sequential engines can reach (n = 10^9–10^11):
 //
 //   * State is only the S = |Σ| counts (a Configuration). No per-agent data
 //     structure exists at any n.
-//   * Single-interaction rounds sample the ordered interacting pair from the
-//     *exact* pair distribution — P[(a, b)] = w(a,b) / n(n−1) with
-//     w(a,b) = c_a·c_b for a ≠ b and w(a,a) = c_a·(c_a − 1) — through a
-//     Walker/Vose AliasTable over the active (non-null) pairs that is
-//     rebuilt lazily: null interactions leave the counts unchanged, so the
-//     table survives them untouched and a rebuild costs O(S²) only when a
-//     state count actually moved.
-//   * Multi-interaction rounds batch a run of identical-distribution draws:
-//     one binomial splits off the null interactions, one exact multinomial
-//     distributes the rest over the active pairs (same two-stage law as the
-//     batched engine), and the round length τ comes from an adaptive
-//     controller instead of a fixed clamp heuristic.
+//   * Under the uniform scheduler one interaction picks the ordered state
+//     pair (a, b) with probability w(a,b) / n(n−1), where w(a,b) = c_a·c_b
+//     for a ≠ b and w(a,a) = c_a·(c_a − 1) (an agent never interacts with
+//     itself).
+//   * A round of B interactions draws all B pairs from the start-of-round
+//     counts: one binomial splits off the null interactions (f leaves both
+//     states unchanged), one exact multinomial distributes the rest over the
+//     active pairs, and each pair's m interactions move m agents in bulk
+//     through the TransitionTable. Grouping a multinomial's buckets and
+//     splitting the group afterwards is exact, so the two-stage draw has the
+//     same law as one multinomial over all S² pairs.
 //
-// The τ controller (choose_tau) bounds per-round drift error two ways:
+// Two round-length policies share that round:
+//   * adaptive (Options::round_divisor = 0, EngineKind::kCollapsed): the τ
+//     controller (choose_tau) picks each round's length, and size-1 rounds
+//     take an exact single-draw path — Bernoulli(active/total), then a
+//     Walker/Vose AliasTable over the active pairs, rebuilt lazily only when
+//     a count actually moved;
+//   * fixed (round_divisor > 0, EngineKind::kBatched): every round is
+//     max(1, n/round_divisor) interactions, n taken at construction, capped
+//     by the budget. Every round goes through the kernel, size-1 rounds
+//     included: the fixed policy's draw sequence is golden-pinned
+//     (ScalarKernelGoldenTest.BatchedFixedRounds), so it must not take the
+//     single-draw path.
+//
+// The τ controller bounds per-round drift error two ways:
 //   1. per-state: the *expected* number of interactions consuming state s in
 //     the round is at most tau_epsilon · c_s, so no state's count drifts by
 //     more than an ε fraction in expectation (and the overdraw clamp, kept
@@ -35,13 +45,16 @@
 // a run — orders of magnitude fewer rounds than interactions — while
 // shrinking automatically wherever a state is being drained quickly.
 //
-// Exactness: with max_round = 1 (or budget 1) every round is a single draw
-// from the exact pair law, realising precisely the sequential Markov chain;
+// Exactness: single-interaction rounds (max_round = 1, a budget of 1, or a
+// divisor ≥ n) realise precisely the sequential Markov chain;
 // tests/engine_equivalence_test.cpp pins this against the sequential
-// engines. For larger rounds it is a τ-leaping approximation with the error
-// knobs above. Counts and interaction totals use 64-bit saturating
-// arithmetic (util/check sat_add/sat_mul); populations are capped at 2^53 so
-// every count stays exactly representable in the double-precision weights.
+// engines. Longer rounds are a τ-leaping approximation: rates are stale by
+// the fraction of agents that interact within the round. Bulk moves are
+// clamped to the live counts, and clamped_interactions() reports how often
+// that fired (~never for ε = 0.05 or divisors ≥ 8). Counts and interaction
+// totals use 64-bit saturating arithmetic (util/check sat_add/sat_mul);
+// populations are capped at 2^53 so every count stays exactly representable
+// in the double-precision weights.
 #pragma once
 
 #include <functional>
@@ -64,13 +77,18 @@ class CollapsedSimulator {
   struct Options {
     /// Per-round drift tolerance ε of the τ controller (see file comment).
     /// Smaller is more accurate and slower; 0.05 keeps the stabilization-time
-    /// distribution within the batched engine's measured KS envelope while
-    /// adapting the round length to the configuration.
+    /// distribution within the fixed-round policy's measured KS envelope
+    /// while adapting the round length to the configuration.
     double tau_epsilon = 0.05;
-    /// Hard cap on the round length; 0 = no cap (the controller decides).
-    /// max_round = 1 forces single-interaction rounds, i.e. the exact
-    /// sequential chain.
+    /// Hard cap on the adaptive round length; 0 = no cap (the controller
+    /// decides). max_round = 1 forces single-interaction rounds, i.e. the
+    /// exact sequential chain.
     Interactions max_round = 0;
+    /// 0 = adaptive rounds. A positive divisor fixes every round at
+    /// max(1, n/round_divisor) interactions (n at construction) and ignores
+    /// tau_epsilon and max_round. Larger divisors mean smaller rounds: less
+    /// τ-leaping staleness, more rounds.
+    Interactions round_divisor = 0;
     /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is
     /// bit-identical to the historical draw sequence; kAvx2 throws at
     /// construction when the build or CPU lacks it.
@@ -93,12 +111,12 @@ class CollapsedSimulator {
     return ppsim::parallel_time(interactions_, config_.population());
   }
   Interactions clamped_interactions() const noexcept { return clamped_; }
-  /// Length the τ controller chose for the most recent round (0 before the
-  /// first round). Exposed for tests and adaptivity diagnostics.
+  /// Length of the most recent round (0 before the first round). Exposed
+  /// for tests and adaptivity diagnostics.
   Interactions last_round_size() const noexcept { return last_round_size_; }
 
-  /// Simulates one round of at most `max_interactions` interactions; the τ
-  /// controller picks the actual length. Returns the number simulated. If
+  /// Simulates one round of at most `max_interactions` interactions; the
+  /// round policy picks the actual length. Returns the number simulated. If
   /// the configuration is stable the whole budget is consumed in one null
   /// round (nothing can change, so the leap is exact).
   Interactions step_round(Interactions max_interactions);
@@ -110,8 +128,8 @@ class CollapsedSimulator {
 
   /// Runs until `predicate(config, interactions)` holds or the budget is
   /// exhausted. The predicate is checked once per *round* (round boundaries
-  /// are ≤ tau_epsilon·n interactions apart, so per-round observables lag
-  /// the exact chain by at most that much).
+  /// are ≤ tau_epsilon·n or n/round_divisor interactions apart, so
+  /// per-round observables lag the exact chain by at most that much).
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
       Interactions max_interactions);
@@ -151,10 +169,11 @@ class CollapsedSimulator {
 
   /// Lockstep staging API (the sweep runner's whole-cell kernel launches —
   /// see SweepRunner::run's lockstep overload). stage_round picks the round
-  /// length and either handles it locally (stable leap, exact single-draw
-  /// path) returning false, or stages a kernel task over this engine's law,
-  /// RNG and scratch and returns true; the caller then runs the kernel
-  /// (possibly batched with other engines' tasks) and calls commit_round.
+  /// length and either handles it locally (stable leap, adaptive
+  /// single-draw path) returning false, or stages a kernel task over this
+  /// engine's law, RNG and scratch and returns true; the caller then runs
+  /// the kernel (possibly batched with other engines' tasks) and calls
+  /// commit_round.
   /// step_round(b) ≡ stage_round(b, t) && (kernel().advance(t),
   /// commit_round(t)). Requires max_interactions > 0.
   bool stage_round(Interactions max_interactions, kernels::RoundTask& task);
@@ -184,6 +203,7 @@ class CollapsedSimulator {
   Configuration config_;
   Xoshiro256pp rng_;
   Options options_;
+  Interactions fixed_round_ = 0;  ///< fixed-round length; 0 = adaptive
   const kernels::RoundKernel* kernel_;
   Interactions interactions_ = 0;
   Interactions clamped_ = 0;

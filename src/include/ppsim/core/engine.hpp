@@ -1,8 +1,9 @@
 // One switchable front door for the generic simulation engines.
 //
-// The library now has four ways to run a Protocol: the sequential
-// table-driven Simulator, the sequential virtual-dispatch Simulator, the
-// round-based BatchedSimulator, and the counts-space CollapsedSimulator.
+// The library has four ways to run a Protocol: the sequential table-driven
+// Simulator, the sequential virtual-dispatch Simulator, and the counts-space
+// CollapsedSimulator under its fixed-round ("batched") or adaptive-τ
+// ("collapsed") round policy.
 // Runner experiments, the benches and examples/ppsim_run select between
 // them with one EngineKind value instead of hard-coding an engine type;
 // Engine forwards the shared surface (run_until_stable / run_until /
@@ -14,7 +15,6 @@
 #include <string>
 #include <variant>
 
-#include "ppsim/core/batched_simulator.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/protocol.hpp"
@@ -26,8 +26,8 @@ namespace ppsim {
 enum class EngineKind {
   kSequential,         ///< Simulator, table-driven dispatch (exact)
   kSequentialVirtual,  ///< Simulator, Protocol-vtable dispatch (exact)
-  kBatched,            ///< BatchedSimulator (τ-leaping rounds; see its header)
-  kCollapsed,          ///< CollapsedSimulator (counts-space, adaptive τ rounds)
+  kBatched,            ///< CollapsedSimulator, fixed n/round_divisor rounds
+  kCollapsed,          ///< CollapsedSimulator, adaptive τ rounds
 };
 
 /// "sequential" | "virtual" | "batched" | "collapsed" (flag values for
@@ -39,11 +39,11 @@ std::optional<EngineKind> parse_engine(const std::string& name);
 
 class Engine {
  public:
-  /// The protocol must outlive the engine. `batched_options` only applies to
-  /// EngineKind::kBatched, `collapsed_options` only to EngineKind::kCollapsed.
+  /// The protocol must outlive the engine. `options` applies to the round
+  /// engines only: kBatched requires a positive round_divisor, and
+  /// kCollapsed ignores it (always adaptive rounds).
   Engine(EngineKind kind, const Protocol& protocol, Configuration initial,
-         std::uint64_t seed, BatchedSimulator::Options batched_options = {},
-         CollapsedSimulator::Options collapsed_options = {});
+         std::uint64_t seed, CollapsedSimulator::Options options = {});
 
   EngineKind kind() const noexcept { return kind_; }
   const Configuration& configuration() const;
@@ -54,7 +54,7 @@ class Engine {
   double parallel_time() const;
 
   RunOutcome run_until_stable(Interactions max_interactions);
-  /// Note: the batched engine checks the predicate once per round, the
+  /// Note: the round engines check the predicate once per round, the
   /// sequential engines once per interaction.
   RunOutcome run_until(
       const std::function<bool(const Configuration&, Interactions)>& predicate,
@@ -79,7 +79,7 @@ class Engine {
 
  private:
   EngineKind kind_;
-  std::variant<Simulator, BatchedSimulator, CollapsedSimulator> impl_;
+  std::variant<Simulator, CollapsedSimulator> impl_;
 };
 
 }  // namespace ppsim

@@ -11,19 +11,21 @@
 //                                    ppsim_query's summary mode
 //
 // Anything malformed answers {"type":"error","error":...} and keeps the
-// connection; request admission is a per-client token bucket (capacity =
-// burst, refill = sustained rate), and a rejected request costs an error
-// line, never a queued job. A client that disappears mid-stream cancels its
-// job cooperatively via the service's emit-returns-false path.
+// connection. A client that disappears mid-stream cancels its job
+// cooperatively via the service's emit-returns-false path. The accept loop
+// joins finished connection threads as it admits new connections, so a
+// long-lived daemon retains threads only for its open connections.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "ppsim/net/rate_limiter.hpp"
 #include "ppsim/net/service.hpp"
 #include "ppsim/net/socket.hpp"
 
@@ -32,9 +34,6 @@ namespace ppsim::net {
 struct ServerConfig {
   std::string socket_path;
   ServiceConfig service;
-  /// Token-bucket admission per client connection.
-  double rate_burst = 8.0;      ///< bucket capacity (requests)
-  double rate_per_second = 4.0; ///< sustained refill rate
   /// Stop after this many accepted connections; 0 = serve forever. The CI
   /// smoke lane uses it to run a bounded daemon without kill/trap plumbing.
   std::uint64_t accept_limit = 0;
@@ -52,23 +51,30 @@ class SweepServer {
   /// joins every connection thread before returning. Safe from any thread.
   void stop();
 
+  /// Connection threads not yet joined: the open connections plus those
+  /// that finished since the accept loop last admitted a connection.
+  std::size_t retained_connections() const;
+
   SweepService& service() noexcept { return service_; }
   const std::string& socket_path() const noexcept {
     return config_.socket_path;
   }
 
  private:
-  void serve_connection(Socket socket, std::uint64_t client_id);
+  void serve_connection(Socket socket);
   void handle_request(LineChannel& channel, const std::string& line);
+  /// Joins the connection threads that have finished; never waits on a
+  /// live connection.
+  void reap_finished_connections();
 
   ServerConfig config_;
   SweepService service_;
-  ClientRateLimiter limiter_;
   std::atomic<bool> stopping_{false};
-  Listener* listener_ = nullptr;  ///< run()-scoped, for stop() to close
+  Listener* listener_ = nullptr;  ///< run()-scoped, for stop() to wake
   std::mutex listener_mutex_;
-  std::vector<std::thread> connections_;
-  std::mutex connections_mutex_;
+  std::unordered_map<std::uint64_t, std::thread> connections_;  ///< by id
+  std::vector<std::uint64_t> finished_;  ///< ids whose threads have returned
+  mutable std::mutex connections_mutex_;
 };
 
 }  // namespace ppsim::net

@@ -60,10 +60,15 @@ class Listener {
   ~Listener();
 
   /// Blocks for the next connection; an invalid Socket means the listener
-  /// was closed (the daemon's shutdown path) or accept failed terminally.
+  /// was shut down (the daemon's stop path) or accept failed terminally.
   Socket accept() noexcept;
 
-  /// Closes the listening fd, waking a blocked accept(). Idempotent.
+  /// Wakes a thread blocked in accept() without releasing the fd, so it is
+  /// safe while another thread is inside accept(); the owner still closes.
+  void shutdown() noexcept;
+
+  /// Closes the listening fd. Idempotent; not safe concurrently with
+  /// accept() (use shutdown() to wake it first).
   void close() noexcept;
 
   const std::string& path() const noexcept { return path_; }

@@ -1,6 +1,5 @@
 #include "ppsim/net/server.hpp"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,12 +11,6 @@
 namespace ppsim::net {
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string error_line(const std::string& message) {
   return JsonObject().field("type", "error").field("error", message).str();
@@ -112,9 +105,7 @@ JsonObject archive_summary(const std::string& path,
 }  // namespace
 
 SweepServer::SweepServer(ServerConfig config)
-    : config_(std::move(config)),
-      service_(config_.service),
-      limiter_(config_.rate_burst, config_.rate_per_second) {
+    : config_(std::move(config)), service_(config_.service) {
   PPSIM_CHECK(!config_.socket_path.empty(),
               "sweep server needs a socket path");
 }
@@ -134,43 +125,67 @@ void SweepServer::run() {
   while (!stopping_.load(std::memory_order_acquire)) {
     if (config_.accept_limit > 0 && accepted >= config_.accept_limit) break;
     Socket client = listener.accept();
-    if (!client.valid()) break;  // listener closed by stop()
+    if (!client.valid()) break;  // listener shut down by stop()
     const std::uint64_t id = ++accepted;
+    reap_finished_connections();
+    // The thread reports itself finished under the same lock that guards
+    // its insertion, so the reaper never sees an id it cannot find.
     const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.emplace_back(
-        [this, id, socket = std::move(client)]() mutable {
-          serve_connection(std::move(socket), id);
-        });
+    connections_.emplace(
+        id, std::thread([this, id, socket = std::move(client)]() mutable {
+          serve_connection(std::move(socket));
+          const std::lock_guard<std::mutex> done(connections_mutex_);
+          finished_.push_back(id);
+        }));
   }
   {
     const std::lock_guard<std::mutex> lock(listener_mutex_);
     listener_ = nullptr;
   }
   listener.close();
-  std::vector<std::thread> to_join;
+  std::unordered_map<std::uint64_t, std::thread> to_join;
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     to_join.swap(connections_);
   }
-  for (std::thread& t : to_join) t.join();
+  for (auto& [id, t] : to_join) t.join();
 }
 
 void SweepServer::stop() {
   stopping_.store(true, std::memory_order_release);
+  // Only wake accept(): run() owns the fd and closes it after its loop, so
+  // nothing here writes state the accept loop reads.
   const std::lock_guard<std::mutex> lock(listener_mutex_);
-  if (listener_ != nullptr) listener_->close();
+  if (listener_ != nullptr) listener_->shutdown();
 }
 
-void SweepServer::serve_connection(Socket socket, std::uint64_t client_id) {
+std::size_t SweepServer::retained_connections() const {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connections_.size();
+}
+
+void SweepServer::reap_finished_connections() {
+  std::vector<std::thread> done;
+  {
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (const std::uint64_t id : finished_) {
+      const auto it = connections_.find(id);
+      done.push_back(std::move(it->second));
+      connections_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Each thread has already left serve_connection, so these joins return
+  // as soon as it unwinds.
+  for (std::thread& t : done) t.join();
+}
+
+void SweepServer::serve_connection(Socket socket) {
   LineChannel channel(std::move(socket));
   while (!stopping_.load(std::memory_order_acquire)) {
     const std::optional<std::string> line = channel.read_line();
     if (!line.has_value()) return;  // client closed (or misbehaved)
     if (line->empty()) continue;
-    if (!limiter_.try_acquire(client_id, now_seconds())) {
-      if (!channel.write_line(error_line("rate limited"))) return;
-      continue;
-    }
     handle_request(channel, *line);
   }
 }

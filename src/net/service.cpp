@@ -164,7 +164,7 @@ SweepTrialFn make_trial_fn(const ParsedSubmit& p) {
       const kernels::KernelKind kernel =
           ctx.cell.kernel.value_or(kernels::KernelKind::kScalar);
       Engine engine(ctx.cell.engine, usd, initial, ctx.seed,
-                    {.kernel = kernel}, {.kernel = kernel});
+                    {.round_divisor = ctx.cell.round_divisor, .kernel = kernel});
       return consensus_metrics(run_engine_trial(engine, budget));
     };
   }

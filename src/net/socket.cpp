@@ -117,10 +117,14 @@ Socket Listener::accept() noexcept {
   }
 }
 
+void Listener::shutdown() noexcept {
+  // shutdown() wakes a thread blocked in accept(); close alone may not.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() noexcept {
   if (fd_ >= 0) {
-    // shutdown() wakes a thread blocked in accept(); close alone may not.
-    ::shutdown(fd_, SHUT_RDWR);
+    shutdown();
     ::close(fd_);
     fd_ = -1;
   }

@@ -45,19 +45,19 @@ void expect_same_configuration(const Configuration& a, const Configuration& b) {
 /// Snapshot mid-run, restore into a *fresh* engine (different seed, so only
 /// the restored RNG state can explain agreement), continue both: the restored
 /// engine must replay the original's draw sequence exactly.
-void roundtrip_engine(EngineKind kind) {
+void roundtrip_engine(EngineKind kind, CollapsedSimulator::Options options = {}) {
   const UndecidedStateDynamics usd(3);
   const Configuration initial =
       UndecidedStateDynamics::initial_configuration({900, 600, 500});
   const Interactions seg1 = 50'000;
   const Interactions seg2 = 400'000;
 
-  Engine original(kind, usd, initial, /*seed=*/42);
+  Engine original(kind, usd, initial, /*seed=*/42, options);
   original.run_until_stable(seg1);
   const EngineCheckpoint snapshot = original.checkpoint_state();
   EXPECT_EQ(snapshot.interactions, original.interactions());
 
-  Engine restored(kind, usd, initial, /*seed=*/777);
+  Engine restored(kind, usd, initial, /*seed=*/777, options);
   restored.restore_checkpoint(snapshot);
   expect_same_configuration(restored.configuration(), original.configuration());
 
@@ -74,7 +74,7 @@ TEST(EngineCheckpointTest, SequentialRoundtripContinuesBitExact) {
 }
 
 TEST(EngineCheckpointTest, BatchedRoundtripContinuesBitExact) {
-  roundtrip_engine(EngineKind::kBatched);
+  roundtrip_engine(EngineKind::kBatched, {.round_divisor = 16});
 }
 
 TEST(EngineCheckpointTest, CollapsedRoundtripContinuesBitExact) {
@@ -194,8 +194,8 @@ TEST(ArchiveReplayTest, ReplayMatchesLiveStatistics) {
 
   // Live runs with the identical engine construction and seed.
   Engine live_stable(spec.engine, usd, initial, spec.seed,
-                     {.round_divisor = spec.round_divisor},
-                     {.tau_epsilon = spec.tau_epsilon});
+                     {.tau_epsilon = spec.tau_epsilon,
+                      .round_divisor = spec.round_divisor});
   const UndecidedExcursion live_exc =
       max_undecided_over_run(live_stable, spec.max_interactions);
 
@@ -213,8 +213,8 @@ TEST(ArchiveReplayTest, ReplayMatchesLiveStatistics) {
   // live engine-facade measurement (both round-granular on the same rounds).
   const Count level = 600;
   Engine live_hit(spec.engine, usd, initial, spec.seed,
-                  {.round_divisor = spec.round_divisor},
-                  {.tau_epsilon = spec.tau_epsilon});
+                  {.tau_epsilon = spec.tau_epsilon,
+                   .round_divisor = spec.round_divisor});
   const HittingResult live = time_until_delta_reaches(
       live_hit, level, spec.max_interactions);
   const HittingResult replay =

@@ -12,7 +12,6 @@
 #include <tuple>
 
 #include "ppsim/analysis/drift.hpp"
-#include "ppsim/core/batched_simulator.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/graph.hpp"
 #include "ppsim/core/graph_simulator.hpp"
@@ -262,7 +261,8 @@ TEST(ScalarKernelGoldenTest, CollapsedSingleDrawAliasPath) {
 
 TEST(ScalarKernelGoldenTest, BatchedFixedRounds) {
   const UndecidedStateDynamics usd(3);
-  BatchedSimulator s(usd, Configuration({0, 40000, 35000, 25000}), 424242);
+  CollapsedSimulator s(usd, Configuration({0, 40000, 35000, 25000}), 424242,
+                       {.round_divisor = 16});
   for (int r = 0; r < 25; ++r) s.step_round(1'000'000'000);
   EXPECT_EQ(s.interactions(), 156250);
   EXPECT_EQ(s.clamped_interactions(), 0);
@@ -280,7 +280,8 @@ TEST(ScalarKernelGoldenTest, FullRunsToStabilization) {
     EXPECT_EQ(out.consensus, std::optional<Opinion>(0));
   }
   {
-    BatchedSimulator s(usd, Configuration({0, 4000, 3500, 2500}), 99);
+    CollapsedSimulator s(usd, Configuration({0, 4000, 3500, 2500}), 99,
+                         {.round_divisor = 16});
     const RunOutcome out = s.run_until_stable(100'000'000);
     EXPECT_TRUE(out.stabilized);
     EXPECT_EQ(out.interactions, 122500);

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "ppsim/core/batched_simulator.hpp"
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
+#include "ppsim/core/engine.hpp"
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
@@ -96,10 +96,8 @@ TEST(KernelRegistryTest, EnginesRejectUnavailableKernel) {
   EXPECT_THROW(CollapsedSimulator(usd, Configuration({0, 4, 3, 3}), 1,
                                   collapsed_opts),
                CheckFailure);
-  BatchedSimulator::Options batched_opts;
-  batched_opts.kernel = KernelKind::kAvx2;
-  EXPECT_THROW(BatchedSimulator(usd, Configuration({0, 4, 3, 3}), 1,
-                                batched_opts),
+  EXPECT_THROW(Engine(EngineKind::kBatched, usd, Configuration({0, 4, 3, 3}), 1,
+                      {.round_divisor = 16, .kernel = KernelKind::kAvx2}),
                CheckFailure);
 }
 

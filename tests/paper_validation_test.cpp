@@ -1,6 +1,6 @@
 // Integration tests that validate the paper's quantitative claims at
 // CI-friendly scale (n = 10^4 – 10^5 instead of 10^6). These are the same
-// measurements the bench harnesses perform at paper scale; EXPERIMENTS.md
+// measurements the bench harnesses perform at paper scale; docs/REPRODUCING.md
 // records the paper-scale numbers.
 #include <gtest/gtest.h>
 

@@ -199,7 +199,9 @@ TEST(RecorderTest, FinalizeSkipsDuplicateFinalSample) {
   rec.maybe_sample(config, 10);
   // The run ended exactly at the last sample's clock: no duplicate sample,
   // but every sink still learns the outcome.
-  rec.finalize(config, RecordFinish{.stabilized = true, .interactions = 10});
+  rec.finalize(config, RecordFinish{.stabilized = true,
+                                    .interactions = 10,
+                                    .consensus = std::nullopt});
   EXPECT_EQ(sink.samples, (std::vector<Interactions>{10}));
   ASSERT_EQ(sink.finishes.size(), 1u);
   EXPECT_TRUE(sink.finishes[0].stabilized);
@@ -212,7 +214,9 @@ TEST(RecorderTest, FinalizeCapturesEndStateWhenNotSampled) {
   rec.add_sink(sink);
   const Configuration config({10});
   rec.maybe_sample(config, 0);
-  rec.finalize(config, RecordFinish{.stabilized = false, .interactions = 777});
+  rec.finalize(config, RecordFinish{.stabilized = false,
+                                    .interactions = 777,
+                                    .consensus = std::nullopt});
   EXPECT_EQ(sink.samples, (std::vector<Interactions>{0, 777}));
 }
 

@@ -152,8 +152,8 @@ TEST(SweepRunnerTest, ConditionalHelpersSelectByFlag) {
 }
 
 TEST(SweepRunnerTest, CellDrivesAnyEngineKindWithClampedAccounting) {
-  // A cell naming the batched engine builds a batched simulator through the
-  // facade, and the standard metric block separates attempted vs effective
+  // A cell naming the batched engine runs the fixed-round policy through
+  // the facade, and the standard metric block separates attempted vs effective
   // interactions (the τ-leaping clamp used to be double-reported).
   const UndecidedStateDynamics usd(2);
   const Configuration initial =

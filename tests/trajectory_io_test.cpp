@@ -194,7 +194,9 @@ TEST(TrajectoryTest, FooterQueriesSkipBlocks) {
     for (int j = 0; j < 64; ++j) {
       writer.sample(j * 100, {static_cast<double>(j), 64.0 - j});
     }
-    writer.finish(TrajectoryEnd{.stabilized = false, .interactions = 6300});
+    writer.finish(TrajectoryEnd{.stabilized = false,
+                                .interactions = 6300,
+                                .consensus = std::nullopt});
   }
   TrajectoryReader reader(path);
   ASSERT_EQ(reader.num_blocks(), 8u);
@@ -247,7 +249,9 @@ TEST(TrajectoryTest, TruncatedFilesRecoverEveryCompleteBlock) {
         writer.checkpoint(cp);
       }
     }
-    writer.finish(TrajectoryEnd{.stabilized = true, .interactions = 600});
+    writer.finish(TrajectoryEnd{.stabilized = true,
+                                .interactions = 600,
+                                .consensus = std::nullopt});
   }
   const std::vector<std::uint8_t> full = read_file(path);
   TrajectoryReader whole(path);
@@ -357,7 +361,9 @@ TEST(TrajectoryTest, ResumeReopensAtLastCheckpoint) {
   EXPECT_EQ(resumed.checkpoint->interactions, 350);
   resumed.writer->sample(400, {4.0, 0.0});
   resumed.writer->sample(500, {5.0, 0.0});
-  resumed.writer->finish(TrajectoryEnd{.stabilized = true, .interactions = 500});
+  resumed.writer->finish(TrajectoryEnd{.stabilized = true,
+                                       .interactions = 500,
+                                       .consensus = std::nullopt});
 
   TrajectoryReader reader(path);
   EXPECT_FALSE(reader.torn_tail());
