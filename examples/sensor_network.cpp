@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "ppsim/protocols/usd.hpp"
@@ -57,10 +58,14 @@ int main() {
   std::size_t true_plurality = 0;
   for (std::size_t b = 0; b < k; ++b) {
     if (bin_counts[b] > bin_counts[true_plurality]) true_plurality = b;
+    std::string range = "[";
+    range += format_double(lo + width * static_cast<double>(b), 1);
+    range += ", ";
+    range += format_double(lo + width * static_cast<double>(b + 1), 1);
+    range += ")";
     table.row()
         .cell(static_cast<std::int64_t>(b))
-        .cell("[" + format_double(lo + width * static_cast<double>(b), 1) + ", " +
-              format_double(lo + width * static_cast<double>(b + 1), 1) + ")")
+        .cell(range)
         .cell(bin_counts[b])
         .done();
   }

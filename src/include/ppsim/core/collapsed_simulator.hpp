@@ -89,9 +89,9 @@ class CollapsedSimulator {
     /// tau_epsilon and max_round. Larger divisors mean smaller rounds: less
     /// τ-leaping staleness, more rounds.
     Interactions round_divisor = 0;
-    /// Round-sampling backend (kernels/round_kernel.hpp). kScalar is
-    /// bit-identical to the historical draw sequence; kAvx2 throws at
-    /// construction when the build or CPU lacks it.
+    /// Round-sampling backend (kernels/round_kernel.hpp). Both kernels draw
+    /// the same sequence; kAvx2 throws at construction when the build or
+    /// CPU lacks it.
     kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   };
 

@@ -34,7 +34,11 @@ class Protocol {
   virtual std::string name() const = 0;
 
   /// Debug name of a state; default "s<i>".
-  virtual std::string state_name(State s) const { return "s" + std::to_string(s); }
+  virtual std::string state_name(State s) const {
+    std::string name = "s";
+    name += std::to_string(s);
+    return name;
+  }
 
  protected:
   Protocol() = default;

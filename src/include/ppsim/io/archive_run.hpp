@@ -80,7 +80,8 @@ RunOutcome record_run(const Protocol& protocol, const Configuration& initial,
 /// restores the last checkpoint (or restarts, if none survived) and runs to
 /// completion. `protocol`, `initial` and `channels` must match the original
 /// call — the header pins population, state count and channel names, and
-/// mismatches throw. Returns nullopt when the archive is already finished.
+/// mismatches throw, as does an archive written by another kBuildVersion.
+/// Returns nullopt when the archive is already finished.
 std::optional<RunOutcome> resume_run(const Protocol& protocol,
                                      const Configuration& initial,
                                      const ArchiveChannels& channels,

@@ -52,8 +52,11 @@ namespace ppsim::io {
 inline constexpr std::string_view kTrajectoryMagic = "PPTRAJ1\n";
 inline constexpr std::uint64_t kTrajectoryFormatVersion = 1;
 /// Stamped into every header; bump when the producing code changes in a way
-/// that affects archived bytes.
-inline constexpr std::string_view kBuildVersion = "ppsim-0.8";
+/// that affects archived bytes. Cell-cache keys embed it too, and
+/// io::resume_run refuses an archive stamped by another version.
+/// ppsim-0.9: the repo-owned binomial sampler replaced the standard
+/// library's.
+inline constexpr std::string_view kBuildVersion = "ppsim-0.9";
 
 struct TrajectoryHeader {
   std::string engine;                  ///< to_string(EngineKind)
@@ -142,7 +145,9 @@ class TrajectoryWriter {
   /// Re-opens a (possibly torn) archive for continuation: parses it
   /// tolerantly, truncates everything after the last complete checkpoint
   /// record — data past it is regenerated bit-for-bit by the resumed run —
-  /// and returns an append-mode writer plus the state to restore.
+  /// and returns an append-mode writer plus the state to restore. An
+  /// unfinished archive stamped with another kBuildVersion throws and is
+  /// left untouched.
   static Resumed resume(const std::string& path);
   static Resumed resume(const std::string& path, Options options);
 

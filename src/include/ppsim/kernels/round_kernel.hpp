@@ -10,27 +10,27 @@
 // the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell), and it
 // is what a RoundKernel implements. The layer follows the classic
 // accelerator-dispatch shape: a scalar CPU baseline that is *always* built
-// and bit-identical to the historical inline draw sequence (so every
-// byte-identical-JSON determinism pin keeps holding), plus optional
-// accelerated backends compiled behind CMake feature checks and selected at
-// *runtime* from CPU capability bits. Today's accelerated backend is kAvx2
-// (4-lane SIMD xoshiro256++ feeding batched BTRS/inversion binomial
-// variates, advancing 4 lockstep trials per uniform block); a CUDA/OpenCL
-// backend plugs in by adding a KernelKind, an implementation file gated in
-// CMake, and a branch in resolve() — engines and the sweep runner are
-// already written against the interface.
+// and defines the draw sequence, plus optional accelerated backends
+// compiled behind CMake feature checks and selected at *runtime* from CPU
+// capability bits. Today's accelerated backend is kAvx2 (a 4-lane SIMD
+// xoshiro256++ running util/random_variates' binomial sampler per lane,
+// advancing 4 lockstep trials); a CUDA/OpenCL backend plugs in by adding a
+// KernelKind, an implementation file gated in CMake, and a branch in
+// resolve() — engines and the sweep runner are already written against the
+// interface.
 //
 // Determinism contract:
-//   * kScalar consumes the engine RNG exactly as the pre-kernel engines did:
-//     one std::binomial_distribution draw for the null split, then the
-//     conditional-binomial multinomial chain. Bit-identical, always.
-//   * kAvx2 consumes the engine RNG differently (it runs the trial's
-//     generator as SIMD lanes), so its draw sequence legitimately differs;
-//     it is validated distributionally (chi-square on the exact pair law,
-//     KS against scalar hitting times — tests/kernel_distribution_test.cpp).
-//     Results are still deterministic per (seed, kernel, lockstep group):
-//     lockstep groups are formed by trial index, never by schedule order,
-//     so sweep JSON stays byte-identical at any --threads for kAvx2 too.
+//   * kScalar is the anchor: one binomial() draw for the null split, then
+//     the conditional-binomial multinomial chain (multinomial_into), all on
+//     the repo's own sampler — so the sequence does not depend on which
+//     standard library built it.
+//   * kAvx2 lanes are byte-identical to kScalar: each lane consumes exactly
+//     the uniforms binomial() would draw from its trial's generator (its
+//     state advances only on the steps that lane consumes), so advance()
+//     and every lane of an advance_batch() group — full or ragged — equal
+//     kScalar's advance() on the same task. Pinned in
+//     tests/kernel_dispatch_test.cpp; the distributional gates in
+//     tests/kernel_distribution_test.cpp stay as a second line.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ namespace ppsim::kernels {
 
 enum class KernelKind {
   kScalar,  ///< always built; the determinism anchor
-  kAvx2,    ///< CMake feature-gated, runtime cpuid-dispatched SIMD variates
+  kAvx2,    ///< CMake feature-gated, runtime cpuid-dispatched; same draws
 };
 
 /// "scalar" | "avx2" (flag values and JSON field).
@@ -81,9 +81,9 @@ class RoundKernel {
   virtual void advance(RoundTask& task) const = 0;
 
   /// Samples one round for each staged task. The default runs advance() per
-  /// task, so for kScalar a lockstep launch is *bit-identical* to advancing
-  /// the trials one by one — the scalar path never forks behavior on how
-  /// the sweep runner happened to group work.
+  /// task; every kernel's lockstep launch is *bit-identical* to advancing
+  /// the trials one by one on kScalar — no kernel forks behavior on how the
+  /// sweep runner happened to group work.
   virtual void advance_batch(std::span<RoundTask* const> tasks) const {
     for (RoundTask* task : tasks) advance(*task);
   }

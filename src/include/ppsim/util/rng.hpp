@@ -35,8 +35,9 @@ class SplitMix64 {
 };
 
 /// xoshiro256++ generator. Satisfies std::uniform_random_bit_generator, so it
-/// can also drive <random> distributions where exactness matters more than
-/// raw speed (e.g. std::binomial_distribution in the Gossip engine).
+/// can drive <random> distributions, but the library's own samplers
+/// (util/random_variates.hpp) read raw outputs directly: their draw
+/// sequence is then defined by this repo, not by the standard library.
 class Xoshiro256pp {
  public:
   using result_type = std::uint64_t;

@@ -418,6 +418,15 @@ TrajectoryWriter::Resumed TrajectoryWriter::resume(const std::string& path,
     resumed.finished = true;
     return resumed;
   }
+  // Another build may draw differently from the same checkpointed RNG state
+  // (the binomial sampler changed at ppsim-0.9); splicing its prefix onto
+  // this build's continuation would match neither build's uninterrupted
+  // run. Refuse before the truncation touches the file.
+  PPSIM_CHECK(resumed.header.build_version == kBuildVersion,
+              "cannot resume " + path + ": it was written by " +
+                  resumed.header.build_version + " but this build is " +
+                  std::string(kBuildVersion) +
+                  ", whose draws would not continue the recorded run");
   resumed.checkpoint = reader.last_checkpoint();
   const std::size_t keep = reader.resume_offset();
   std::filesystem::resize_file(path, keep);

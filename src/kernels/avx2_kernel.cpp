@@ -1,5 +1,5 @@
-// AVX2 round kernel: batched exact binomial/multinomial variates for up to
-// four lockstep trials of the same sweep cell.
+// AVX2 round kernel: up to four lockstep trials of the same sweep cell,
+// each advanced exactly as the scalar kernel would advance it alone.
 //
 // Shape of the implementation (real code only when PPSIM_KERNELS_AVX2 is
 // set by CMake after the -mavx2 feature check; otherwise this file compiles
@@ -9,29 +9,24 @@
 //     (one __m256i per state word, the exact update rule of
 //     util/rng.hpp's scalar generator). Each advance loads the tasks' live
 //     256-bit states into the lanes and stores them back afterwards, so a
-//     trial's randomness still flows through its own checkpointable RNG —
-//     the lanes just advance in lockstep, one _mm256 step producing one
-//     52-bit uniform per trial via the exponent-splice bit trick.
-//   * Binomial draws are exact: inversion (one uniform, CDF walk) when
-//     n·min(p,1−p) < 10, else the BTRS transformed-rejection sampler
-//     (Hörmann 1993, the TensorFlow/JAX formulation with the Stirling-tail
-//     series — no lgamma on the hot path, unlike
-//     std::binomial_distribution's per-call distribution setup). All lanes
-//     draw from shared (u, v) uniform blocks and iterate until every lane's
-//     rejection loop accepts, so a group's draw count is a deterministic
-//     function of the group's RNG states alone.
+//     trial's randomness still flows through its own checkpointable RNG.
+//     One _mm256 step produces one uniform52() per lane, and a lane's state
+//     moves only on the steps that lane consumes (a blend on the pending
+//     mask).
+//   * The binomial math is util/random_variates' sampler (inversion below
+//     n·p = 10, BTRS above), inlined per lane: every still-pending lane
+//     takes one (u, v) attempt per shared block until it accepts.
 //   * The multinomial is the same conditional-binomial chain as the scalar
 //     kernel, walked bucket-by-bucket across all lanes so the per-bucket
-//     binomials vectorize their uniform supply.
+//     binomials share their uniform blocks.
 //
-// Determinism: a single advance() is a pure function of (task RNG state,
-// law, batch); an advance_batch() group of the same tasks in the same order
-// is a pure function of the group. The sweep runner forms groups by trial
-// index, never by schedule, so avx2 sweep JSON is --threads-invariant. The
-// draw *sequence* differs from kScalar by design; equivalence is pinned
-// distributionally in tests/kernel_distribution_test.cpp (chi-square on the
-// exact pair law, binomial moments at extreme parameters, KS against scalar
-// hitting times).
+// Determinism: a lane consumes exactly the uniforms binomial() would draw
+// from that trial's generator, so advance() and every lane of an
+// advance_batch() group are byte-identical to the scalar kernel's
+// advance() on the same task. tests/kernel_dispatch_test.cpp pins that
+// byte identity; tests/kernel_distribution_test.cpp keeps the
+// distributional gates (chi-square on the exact pair law, binomial moments
+// at extreme parameters) as a second line.
 #include "ppsim/kernels/round_kernel.hpp"
 
 #if PPSIM_KERNELS_AVX2
@@ -40,11 +35,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
+
+#include "ppsim/util/random_variates.hpp"
 
 namespace ppsim::kernels {
 namespace {
+
+using binomial_detail::BinomialDraw;
 
 constexpr std::size_t kLanes = 4;
 
@@ -56,8 +54,8 @@ class Xoshiro4 {
   void load(RoundTask* const* tasks, std::size_t count) {
     std::array<std::array<std::uint64_t, 4>, kLanes> st;
     for (std::size_t l = 0; l < kLanes; ++l) {
-      // Unused trailing lanes mirror lane 0; their output is discarded and
-      // their state is never stored back.
+      // Unused trailing lanes mirror lane 0; they are never in a step's
+      // mask and their state is never stored back.
       st[l] = tasks[std::min(l, count - 1)]->rng->state();
     }
     for (int w = 0; w < 4; ++w) {
@@ -77,10 +75,12 @@ class Xoshiro4 {
     }
   }
 
-  /// One lockstep step: writes a uniform in [0, 1) with 52 random bits per
-  /// lane (top bits spliced into the [1, 2) mantissa, then shifted down).
-  void uniforms(double out[kLanes]) {
-    const __m256i bits = _mm256_srli_epi64(next(), 12);
+  /// One lockstep step on the lanes whose 64-bit `mask` word is all ones:
+  /// writes uniform52() of each such lane's next output and advances only
+  /// those lanes' states. Masked-off lanes keep their state; their slot of
+  /// `out` is meaningless.
+  void uniforms(__m256i mask, double out[kLanes]) {
+    const __m256i bits = _mm256_srli_epi64(next(mask), 12);
     const __m256i one = _mm256_set1_epi64x(0x3FF0000000000000LL);
     const __m256d d = _mm256_castsi256_pd(_mm256_or_si256(bits, one));
     _mm256_storeu_pd(out, _mm256_sub_pd(d, _mm256_set1_pd(1.0)));
@@ -92,157 +92,49 @@ class Xoshiro4 {
                            _mm256_srli_epi64(x, 64 - k));
   }
 
-  __m256i next() {
+  __m256i next(__m256i mask) {
     const __m256i result =
         _mm256_add_epi64(rotl(_mm256_add_epi64(s_[0], s_[3]), 23), s_[0]);
     const __m256i t = _mm256_slli_epi64(s_[1], 17);
-    s_[2] = _mm256_xor_si256(s_[2], s_[0]);
-    s_[3] = _mm256_xor_si256(s_[3], s_[1]);
-    s_[1] = _mm256_xor_si256(s_[1], s_[2]);
-    s_[0] = _mm256_xor_si256(s_[0], s_[3]);
-    s_[2] = _mm256_xor_si256(s_[2], t);
-    s_[3] = rotl(s_[3], 45);
+    __m256i s2 = _mm256_xor_si256(s_[2], s_[0]);
+    __m256i s3 = _mm256_xor_si256(s_[3], s_[1]);
+    const __m256i s1 = _mm256_xor_si256(s_[1], s2);
+    const __m256i s0 = _mm256_xor_si256(s_[0], s3);
+    s2 = _mm256_xor_si256(s2, t);
+    s3 = rotl(s3, 45);
+    s_[0] = _mm256_blendv_epi8(s_[0], s0, mask);
+    s_[1] = _mm256_blendv_epi8(s_[1], s1, mask);
+    s_[2] = _mm256_blendv_epi8(s_[2], s2, mask);
+    s_[3] = _mm256_blendv_epi8(s_[3], s3, mask);
     return result;
   }
 
   __m256i s_[4];
 };
 
-/// Stirling series tail t(k) = lgamma(k+1) − (k+½)·log(k) + k − ½·log(2π):
-/// tabulated for k < 10, three-term asymptotic series beyond. The BTRS
-/// acceptance bound is built from these tails instead of lgamma calls.
-double stirling_tail(double k) {
-  static constexpr double kTable[] = {
-      0.0810614667953272,  0.0413406959554092,  0.0276779256849983,
-      0.02079067210376509, 0.0166446911898211,  0.0138761288230707,
-      0.0118967099458917,  0.0104112652619720,  0.00925546218271273,
-      0.00833056343336287};
-  if (k < 10.0) return kTable[static_cast<int>(k)];
-  const double inv = 1.0 / (k + 1.0);
-  const double inv2 = inv * inv;
-  return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0) * inv2) * inv2) * inv;
-}
-
-/// BTRS per-(n, p) setup, shared by every attempt of one draw. Requires
-/// 0 < p ≤ 0.5 and n·p ≥ 10.
-struct BtrsSetup {
-  double r, b, a, c, vr, alpha, m;
-  double n;
-
-  void init(std::int64_t trials, double p) {
-    n = static_cast<double>(trials);
-    const double q = 1.0 - p;
-    r = p / q;
-    const double spq = std::sqrt(n * p * q);
-    b = 1.15 + 2.53 * spq;
-    a = -0.0873 + 0.0248 * b + 0.01 * p;
-    c = n * p + 0.5;
-    vr = 0.92 - 4.2 / b;
-    alpha = (2.83 + 5.1 / b) * spq;
-    m = std::floor((n + 1.0) * p);
-  }
-
-  /// One transformed-rejection attempt from the uniform pair (u, v).
-  bool attempt(double u, double v, std::int64_t& out) const {
-    u -= 0.5;
-    const double us = 0.5 - std::abs(u);
-    const double kd = std::floor((2.0 * a / us + b) * u + c);
-    if (kd < 0.0 || kd > n) return false;
-    if (us >= 0.07 && v <= vr) {
-      out = static_cast<std::int64_t>(kd);
-      return true;
-    }
-    const double lv = std::log(v * alpha / (a / (us * us) + b));
-    const double bound =
-        (m + 0.5) * std::log((m + 1.0) / (r * (n - m + 1.0))) +
-        (n + 1.0) * std::log((n - m + 1.0) / (n - kd + 1.0)) +
-        (kd + 0.5) * std::log(r * (n - kd + 1.0) / (kd + 1.0)) +
-        stirling_tail(m) + stirling_tail(n - m) - stirling_tail(kd) -
-        stirling_tail(n - kd);
-    if (lv > bound) return false;
-    out = static_cast<std::int64_t>(kd);
-    return true;
-  }
-};
-
-/// Inversion sampler: walks the CDF with a single uniform. Requires
-/// 0 < p ≤ 0.5 and n·p < 10 (so the start probability q^n cannot
-/// underflow: n·|log1p(−p)| ≤ 2·n·p < 20).
-std::int64_t binomial_inversion(std::int64_t n, double p, double u) {
-  const double r = p / (1.0 - p);
-  const double nd = static_cast<double>(n);
-  double pmf = std::exp(nd * std::log1p(-p));
-  double cdf = pmf;
-  std::int64_t k = 0;
-  while (u > cdf && k < n) {
-    ++k;
-    pmf *= (nd - static_cast<double>(k) + 1.0) * r / static_cast<double>(k);
-    cdf += pmf;
-  }
-  return k;
-}
-
-/// One pending per-lane binomial request; resolve_binomials() drains a set
-/// of these against the shared uniform supply.
-struct BinomialReq {
-  std::int64_t n = 0;
-  double p = 0.0;      ///< min(p, 1−p) after the reflection
-  bool flip = false;   ///< result = n − draw(n, 1−p)
-  bool use_btrs = false;
-  BtrsSetup btrs;
-  std::int64_t result = 0;
-  bool pending = false;
-
-  void init(std::int64_t trials, double prob) {
-    prob = std::clamp(prob, 0.0, 1.0);
-    if (trials <= 0 || prob == 0.0) {
-      result = 0;
-      pending = false;
-      return;
-    }
-    if (prob == 1.0) {
-      result = trials;
-      pending = false;
-      return;
-    }
-    n = trials;
-    flip = prob > 0.5;
-    p = flip ? 1.0 - prob : prob;
-    use_btrs = static_cast<double>(n) * p >= 10.0;
-    if (use_btrs) btrs.init(n, p);
-    pending = true;
-  }
-
-  std::int64_t value() const { return flip ? n - result : result; }
-};
-
-/// Drains up to kLanes pending requests: every iteration draws one shared
-/// (u, v) uniform block and lets each still-pending lane consume its lane's
-/// values — inversion lanes finish on the first block, BTRS lanes loop
-/// until their rejection test accepts. Trivial lanes (resolved in init)
-/// consume no randomness at all, matching the scalar kernel's convention
-/// for p ∈ {0, 1}.
-void resolve_binomials(Xoshiro4& gen, BinomialReq* reqs, std::size_t count) {
-  bool pending = false;
-  for (std::size_t l = 0; l < count; ++l) pending = pending || reqs[l].pending;
+/// Drains the pending lanes' draws: every iteration steps the pending lanes
+/// twice for one (u, v) block and gives each its attempt. Inversion lanes
+/// finish on their first block, BTRS lanes loop until they accept, and
+/// lanes that are not pending (trivial draws, finished chains) consume
+/// nothing — so each lane reads exactly the uniforms binomial() would.
+void resolve_binomials(Xoshiro4& gen, BinomialDraw* draws, bool* pending,
+                       std::size_t count) {
+  alignas(32) std::int64_t mask[kLanes];
   double u[kLanes];
   double v[kLanes];
-  while (pending) {
-    gen.uniforms(u);
-    gen.uniforms(v);
-    pending = false;
+  for (;;) {
+    bool any = false;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const bool on = l < count && pending[l];
+      mask[l] = on ? -1 : 0;
+      any = any || on;
+    }
+    if (!any) return;
+    const __m256i m = _mm256_load_si256(reinterpret_cast<const __m256i*>(mask));
+    gen.uniforms(m, u);
+    gen.uniforms(m, v);
     for (std::size_t l = 0; l < count; ++l) {
-      BinomialReq& req = reqs[l];
-      if (!req.pending) continue;
-      if (req.use_btrs) {
-        if (!req.btrs.attempt(u[l], v[l], req.result)) {
-          pending = true;
-          continue;
-        }
-      } else {
-        req.result = binomial_inversion(req.n, req.p, u[l]);
-      }
-      req.pending = false;
+      if (pending[l] && draws[l].attempt(u[l], v[l])) pending[l] = false;
     }
   }
 }
@@ -269,12 +161,14 @@ class Avx2Kernel final : public RoundKernel {
     gen.load(tasks, count);
 
     // Stage 1: the null split — Binomial(batch, active/total) per lane.
-    BinomialReq reqs[kLanes];
+    BinomialDraw draws[kLanes];
+    bool pending[kLanes] = {};
     for (std::size_t l = 0; l < count; ++l) {
       const PairLaw& law = *tasks[l]->law;
-      reqs[l].init(tasks[l]->batch, law.active_weight() / law.total_weight());
+      pending[l] = draws[l].init(tasks[l]->batch,
+                                 law.active_weight() / law.total_weight());
     }
-    resolve_binomials(gen, reqs, count);
+    resolve_binomials(gen, draws, pending, count);
 
     // Stage 2: the conditional-binomial multinomial chain, bucket position
     // by bucket position across the lanes. Lane l walks its own law's
@@ -284,31 +178,27 @@ class Avx2Kernel final : public RoundKernel {
     double mass[kLanes];
     for (std::size_t l = 0; l < count; ++l) {
       const PairLaw& law = *tasks[l]->law;
-      tasks[l]->active = reqs[l].value();
+      tasks[l]->active = draws[l].value();
       tasks[l]->draws->assign(law.size(), 0);
-      remaining[l] = reqs[l].value();
+      remaining[l] = draws[l].value();
       mass[l] = law.active_weight();
     }
     for (std::size_t i = 0;; ++i) {
       bool any = false;
       for (std::size_t l = 0; l < count; ++l) {
         const std::vector<double>& w = tasks[l]->law->weights();
-        if (remaining[l] <= 0 || i + 1 >= w.size()) {
-          reqs[l].pending = false;
-          reqs[l].result = 0;
-          reqs[l].flip = false;
-          continue;
-        }
+        pending[l] = false;
+        if (remaining[l] <= 0 || i + 1 >= w.size()) continue;
         const double p = mass[l] > 0.0 ? w[i] / mass[l] : 0.0;
-        reqs[l].init(remaining[l], p);
+        pending[l] = draws[l].init(remaining[l], p);
         any = true;
       }
       if (!any) break;
-      resolve_binomials(gen, reqs, count);
+      resolve_binomials(gen, draws, pending, count);
       for (std::size_t l = 0; l < count; ++l) {
         const std::vector<double>& w = tasks[l]->law->weights();
         if (remaining[l] <= 0 || i + 1 >= w.size()) continue;
-        const std::int64_t draw = std::min(reqs[l].value(), remaining[l]);
+        const std::int64_t draw = draws[l].value();
         (*tasks[l]->draws)[i] = draw;
         remaining[l] -= draw;
         mass[l] -= w[i];

@@ -1,11 +1,11 @@
 // The scalar baseline kernel: always built, and the determinism anchor.
 //
-// Its draw sequence is exactly the engines' historical inline code — one
-// std::binomial_distribution draw for the null split, then the
-// conditional-binomial multinomial chain (multinomial_into) — so every
-// byte-identical-JSON pin and golden trajectory recorded before the kernels
-// layer existed reproduces bit for bit (tests/engine_equivalence_test.cpp
-// pins captured pre-refactor values against this kernel).
+// One binomial() draw for the null split, then the conditional-binomial
+// multinomial chain (multinomial_into), both on util/random_variates' own
+// sampler — so the draw sequence is the same on every standard library
+// (tests/engine_equivalence_test.cpp pins golden trajectories against this
+// kernel). The AVX2 kernel runs the same sampler per lane and is
+// byte-identical to this one, one trial or a lockstep group at a time.
 #include "ppsim/kernels/round_kernel.hpp"
 #include "ppsim/util/random_variates.hpp"
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <random>
 
 #include "ppsim/util/check.hpp"
 
@@ -12,12 +11,15 @@ namespace ppsim {
 std::int64_t binomial(Xoshiro256pp& rng, std::int64_t trials, double p) {
   PPSIM_CHECK(trials >= 0, "binomial trials must be non-negative");
   PPSIM_CHECK(!std::isnan(p), "binomial p must not be NaN");
-  if (trials == 0) return 0;
-  p = std::clamp(p, 0.0, 1.0);
-  if (p == 0.0) return 0;
-  if (p == 1.0) return trials;
-  std::binomial_distribution<std::int64_t> dist(trials, p);
-  return dist(rng);
+  binomial_detail::BinomialDraw draw;
+  if (draw.init(trials, p)) {
+    for (;;) {
+      const double u = uniform52(rng());
+      const double v = uniform52(rng());
+      if (draw.attempt(u, v)) break;
+    }
+  }
+  return draw.value();
 }
 
 void multinomial_into(Xoshiro256pp& rng, std::int64_t trials,

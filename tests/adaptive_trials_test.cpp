@@ -128,7 +128,7 @@ SweepSpec adaptive_spec(std::uint64_t seed, double rel_err,
   spec.stopping.rel_err = rel_err;
   spec.stopping.confidence = 0.95;
   spec.stopping.min_trials = min_trials;
-  spec.stopping.metric = "x";
+  spec.stopping.metric = std::string(1, 'x');
   return spec;
 }
 

@@ -4,6 +4,7 @@
 // to the uninterrupted one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "ppsim/core/engine.hpp"
 #include "ppsim/io/archive_run.hpp"
 #include "ppsim/io/trajectory.hpp"
+#include "ppsim/io/wire.hpp"
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 
@@ -172,6 +174,54 @@ TEST(ArchiveResumeTest, ResumeRejectsMismatchedShape) {
   const Configuration wrong_n =
       UndecidedStateDynamics::initial_configuration({400, 300, 200});
   EXPECT_THROW(io::resume_run(usd, wrong_n, channels, path), CheckFailure);
+}
+
+TEST(ArchiveResumeTest, ResumeRejectsArchiveFromAnotherBuildVersion) {
+  // A build that samples differently must not continue another build's
+  // archive: the spliced run would match neither build's uninterrupted one.
+  const UndecidedStateDynamics usd(3);
+  const Configuration initial =
+      UndecidedStateDynamics::initial_configuration({500, 300, 200});
+  const io::ArchiveChannels channels = io::usd_archive_channels(3);
+  io::ArchiveRunSpec spec = acceptance_spec();
+  spec.seed = 13;
+
+  const std::string path = tmp_path("foreign_build.pptraj");
+  io::record_run(usd, initial, channels, spec, path);
+  std::vector<std::uint8_t> bytes = read_file(path);
+
+  // Re-stamp the header record (magic, type byte, varint length, payload,
+  // fnv1a) with a same-length foreign version and a matching checksum.
+  const std::size_t magic = io::kTrajectoryMagic.size();
+  io::ByteReader frame(bytes.data() + magic + 1, bytes.size() - magic - 1);
+  const std::size_t length = frame.varint();
+  ASSERT_TRUE(frame.ok());
+  const auto payload = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                           magic + 1 + frame.pos());
+  const std::string ours(io::kBuildVersion);
+  const std::string foreign = "ppsim-0.0";
+  ASSERT_EQ(foreign.size(), ours.size());
+  const auto at = std::search(payload, payload + static_cast<std::ptrdiff_t>(length),
+                              ours.begin(), ours.end());
+  ASSERT_NE(at, payload + static_cast<std::ptrdiff_t>(length));
+  std::copy(foreign.begin(), foreign.end(), at);
+  io::Bytes checksum;
+  io::put_fixed64(checksum, io::fnv1a(&*payload, length));
+  std::copy(checksum.begin(), checksum.end(),
+            payload + static_cast<std::ptrdiff_t>(length));
+  write_file(path, bytes, bytes.size() - 4);  // drop the end record's tail
+  ASSERT_EQ(io::TrajectoryReader(path).header().build_version, foreign);
+  const std::vector<std::uint8_t> stamped = read_file(path);
+
+  try {
+    io::resume_run(usd, initial, channels, path);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(foreign), std::string::npos) << what;
+    EXPECT_NE(what.find(ours), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_file(path), stamped);  // refused before any truncation
 }
 
 // Archive replay reproduces live-run statistics without re-simulating.

@@ -1,18 +1,20 @@
 // Kernel registry and dispatch semantics: parsing, capability-driven
 // selection, the failure modes for explicitly requesting an unavailable
-// backend, PairLaw's generation-counter invalidation, and the scalar
-// kernel's lockstep (advance_batch) contract — batching tasks must be
-// bit-identical to advancing them one by one.
+// backend, PairLaw's generation-counter invalidation, and the lockstep
+// (advance_batch) contract — batching tasks on either kernel must be
+// bit-identical to advancing them one by one on the scalar kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/engine.hpp"
+#include "ppsim/core/record_sink.hpp"
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
@@ -147,23 +149,25 @@ TEST(PairLawTest, WeightsMatchTheOrderedPairCounts) {
 
 // ------------------------------------------------------------- lockstep --
 
-/// Runs `rounds` staged rounds through the collapsed engine, advancing the
-/// staged tasks either one by one or as one advance_batch launch.
-std::vector<Count> run_staged(const Protocol& protocol, bool batched,
-                              int rounds) {
-  constexpr std::size_t kLanes = 3;
-  std::vector<std::unique_ptr<CollapsedSimulator>> lanes;
-  for (std::size_t t = 0; t < kLanes; ++t) {
-    lanes.push_back(std::make_unique<CollapsedSimulator>(
-        protocol, Configuration({0, 400, 350, 250}), 1000 + t));
+/// Runs `rounds` staged rounds over `lanes` collapsed engines (seeds 1000,
+/// 1001, ...), advancing the staged tasks through `kernel` either one by
+/// one or as one advance_batch launch. Returns every lane's counts,
+/// interactions and final RNG state words, concatenated.
+std::vector<Count> run_staged(const Protocol& protocol,
+                              const Configuration& initial,
+                              const RoundKernel& kernel, bool batched,
+                              int rounds, std::size_t lanes) {
+  std::vector<std::unique_ptr<CollapsedSimulator>> engines;
+  for (std::size_t t = 0; t < lanes; ++t) {
+    engines.push_back(
+        std::make_unique<CollapsedSimulator>(protocol, initial, 1000 + t));
   }
-  const RoundKernel& kernel = scalar_kernel();
-  std::vector<RoundTask> tasks(kLanes);
+  std::vector<RoundTask> tasks(lanes);
   for (int r = 0; r < rounds; ++r) {
     std::vector<RoundTask*> staged;
     std::vector<std::size_t> staged_lane;
-    for (std::size_t t = 0; t < kLanes; ++t) {
-      if (lanes[t]->stage_round(1'000'000, tasks[t])) {
+    for (std::size_t t = 0; t < lanes; ++t) {
+      if (engines[t]->stage_round(1'000'000, tasks[t])) {
         staged.push_back(&tasks[t]);
         staged_lane.push_back(t);
       }
@@ -174,21 +178,77 @@ std::vector<Count> run_staged(const Protocol& protocol, bool batched,
       for (RoundTask* task : staged) kernel.advance(*task);
     }
     for (std::size_t i = 0; i < staged.size(); ++i) {
-      lanes[staged_lane[i]]->commit_round(*staged[i]);
+      engines[staged_lane[i]]->commit_round(*staged[i]);
     }
   }
   std::vector<Count> out;
-  for (const auto& lane : lanes) {
-    const auto& c = lane->configuration().counts();
-    out.insert(out.end(), c.begin(), c.end());
-    out.push_back(static_cast<Count>(lane->interactions()));
+  for (const auto& engine : engines) {
+    const EngineCheckpoint cp = engine->checkpoint_state();
+    out.insert(out.end(), cp.counts.begin(), cp.counts.end());
+    out.push_back(static_cast<Count>(cp.interactions));
+    for (const std::uint64_t word : cp.rng_state) {
+      out.push_back(static_cast<Count>(word));
+    }
   }
   return out;
 }
 
+/// A small population (rounds of a few dozen interactions: inversion draws)
+/// and a large one (thousands per round: BTRS rejection loops).
+const std::vector<Configuration>& staged_configs() {
+  static const std::vector<Configuration> configs = {
+      Configuration({0, 400, 350, 250}),
+      Configuration({0, 40000, 35000, 25000})};
+  return configs;
+}
+
 TEST(ScalarLockstepTest, AdvanceBatchIsBitIdenticalToPerTaskAdvance) {
   const UndecidedStateDynamics usd(3);
-  EXPECT_EQ(run_staged(usd, true, 40), run_staged(usd, false, 40));
+  for (const Configuration& initial : staged_configs()) {
+    EXPECT_EQ(run_staged(usd, initial, scalar_kernel(), true, 40, 3),
+              run_staged(usd, initial, scalar_kernel(), false, 40, 3));
+  }
+}
+
+// An AVX2 lane consumes exactly the uniforms the scalar binomial() would
+// draw from that trial's generator, so a lockstep group — full or ragged —
+// is byte-identical to advancing each task alone on the scalar kernel:
+// counts, interaction totals and the RNG states written back.
+TEST(Avx2LockstepTest, FullGroupEqualsScalarAdvanceDrawForDraw) {
+  if (!avx2_supported()) GTEST_SKIP() << "host lacks AVX2";
+  const UndecidedStateDynamics usd(3);
+  const RoundKernel& avx2 = resolve(KernelKind::kAvx2);
+  for (const Configuration& initial : staged_configs()) {
+    EXPECT_EQ(run_staged(usd, initial, avx2, true, 40, 4),
+              run_staged(usd, initial, scalar_kernel(), false, 40, 4));
+  }
+}
+
+TEST(Avx2LockstepTest, RaggedGroupEqualsScalarAdvanceDrawForDraw) {
+  if (!avx2_supported()) GTEST_SKIP() << "host lacks AVX2";
+  const UndecidedStateDynamics usd(3);
+  const RoundKernel& avx2 = resolve(KernelKind::kAvx2);
+  for (const Configuration& initial : staged_configs()) {
+    EXPECT_EQ(run_staged(usd, initial, avx2, true, 40, 3),
+              run_staged(usd, initial, scalar_kernel(), false, 40, 3));
+  }
+}
+
+TEST(Avx2LockstepTest, FullCollapsedRunEqualsScalarRun) {
+  if (!avx2_supported()) GTEST_SKIP() << "host lacks AVX2";
+  const UndecidedStateDynamics usd(3);
+  auto run = [&](KernelKind kind) {
+    CollapsedSimulator::Options opts;
+    opts.kernel = kind;
+    CollapsedSimulator sim(usd, Configuration({0, 40000, 35000, 25000}), 99,
+                           opts);
+    const RunOutcome out = sim.run_until_stable(100'000'000);
+    EXPECT_TRUE(out.stabilized);
+    const EngineCheckpoint cp = sim.checkpoint_state();
+    return std::tuple(out.interactions, out.consensus, cp.counts,
+                      cp.rng_state, cp.clamped);
+  };
+  EXPECT_EQ(run(KernelKind::kAvx2), run(KernelKind::kScalar));
 }
 
 TEST(ScalarLockstepTest, StagedPathMatchesStepRound) {

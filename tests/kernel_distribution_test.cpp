@@ -1,8 +1,7 @@
 // Distributional validation of the AVX2 round kernel against the exact
-// two-stage law the scalar kernel realises. The AVX2 backend uses its own
-// binomial samplers (inversion + BTRS rejection) and a vectorised
-// xoshiro256++, so its draw *values* differ from scalar — correctness is the
-// distribution, pinned three ways:
+// two-stage law the scalar kernel realises. Its lanes are byte-identical to
+// scalar (tests/kernel_dispatch_test.cpp pins that); these gates check the
+// shared sampler's output law as a second line, three ways:
 //   1. chi-square of accumulated pair draws (including the null bucket)
 //      against the exact start-of-round law;
 //   2. moments of the stage-1 null-split binomial at extreme p, including

@@ -87,6 +87,53 @@ TEST(Binomial, MomentsMatchTheory) {
   EXPECT_NEAR(stats.variance(), var, 0.1 * var);
 }
 
+TEST(Binomial, ChiSquareAgainstTheExactPmfAtTheAlgorithmSwitch) {
+  // binomial() switches from inversion to BTRS rejection at n·p = 10; both
+  // sides of the switch must reproduce the exact pmf. Tail classes are
+  // pooled until each expects at least 5 hits.
+  constexpr std::int64_t kN = 1000;
+  constexpr int kDraws = 200000;
+  for (const double p : {0.00999, 0.01}) {
+    binomial_detail::BinomialDraw setup;
+    ASSERT_TRUE(setup.init(kN, p));
+    EXPECT_EQ(setup.use_btrs, p == 0.01) << "p=" << p;
+
+    std::vector<double> pmf(kN + 1);
+    for (std::int64_t k = 0; k <= kN; ++k) {
+      const double kd = static_cast<double>(k);
+      pmf[k] = std::exp(std::lgamma(kN + 1.0) - std::lgamma(kd + 1.0) -
+                        std::lgamma(kN - kd + 1.0) + kd * std::log(p) +
+                        (kN - kd) * std::log1p(-p));
+    }
+    Xoshiro256pp rng(4242);
+    std::vector<std::int64_t> hits(kN + 1, 0);
+    for (int i = 0; i < kDraws; ++i) ++hits[binomial(rng, kN, p)];
+
+    std::vector<std::int64_t> observed;
+    std::vector<double> expected;
+    std::int64_t pooled_hits = 0;
+    double pooled_mass = 0.0;
+    double cdf = 0.0;
+    for (std::int64_t k = 0; k <= kN; ++k) {
+      pooled_hits += hits[k];
+      pooled_mass += pmf[k];
+      cdf += pmf[k];
+      if (pooled_mass * kDraws >= 5.0 && (1.0 - cdf) * kDraws >= 5.0) {
+        observed.push_back(pooled_hits);
+        expected.push_back(pooled_mass * kDraws);
+        pooled_hits = 0;
+        pooled_mass = 0.0;
+      }
+    }
+    observed.push_back(pooled_hits);
+    expected.push_back(pooled_mass * kDraws);
+    ASSERT_GE(observed.size(), 10u);
+    const double stat = chi_square_statistic(observed, expected);
+    EXPECT_GT(chi_square_sf(stat, static_cast<int>(observed.size()) - 1), 1e-6)
+        << "p=" << p << " chi2=" << stat;
+  }
+}
+
 // ----------------------------------------------------------- multinomial ----
 
 TEST(Multinomial, ConservesTrials) {
@@ -196,9 +243,9 @@ TEST(Hypergeometric, LargeDrawBranchMatchesMoments) {
 
 // The collapsed engine feeds the null-split binomial n up to the 2^53 count
 // cap with p that can be extreme on both ends (active weight is a vanishing
-// or an overwhelming fraction of n(n−1)). These pin libstdc++'s sampler in
-// exactly those regimes: no overflow, no silent saturation, and the right
-// first two moments.
+// or an overwhelming fraction of n(n−1)). These pin the sampler in exactly
+// those regimes: no overflow, no silent saturation, and the right first two
+// moments.
 
 TEST(BinomialStability, RejectsNaNProbability) {
   Xoshiro256pp rng(1);

@@ -114,8 +114,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<Count>(1000, 5000, 20000),
                        ::testing::Values<std::size_t>(2, 3, 8, 16)),
     [](const ::testing::TestParamInfo<NK>& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_k" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 // --------------------------------------------------------- walk variance ----
