@@ -88,9 +88,7 @@ int run(int argc, char** argv) {
       // Counts-space path: same experiment, faults batched per τ-round via
       // the exact binomial — the realized rate matches the agent-space
       // injector below (scenario_test pins the parity differentially).
-      CollapsedSimulator::Options copts;
-      copts.kernel = ctx.cell.kernel.value_or(opts.kernel);
-      CollapsedSimulator sim(usd, initial, ctx.seed, copts);
+      CollapsedSimulator sim(usd, initial, ctx.seed);
       CountsFaultInjector injector(rate, ctx.rng());
       injector.run(sim, horizon_interactions);
       const auto& counts = sim.configuration().counts();

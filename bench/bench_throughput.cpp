@@ -27,22 +27,9 @@
 // convoys the tail; work stealing interleaves submission by trial index
 // across cells and the large cell starts on round one.
 //
-// A third mode, --kernel-shootout, benches the round *kernels*: one
-// collapsed cell runs its trial batch as whole-cell lockstep launches
-// (SweepRunner::run with a LockstepPlan) once per available kernel. The
-// scalar lockstep report must be byte-identical to the ordinary per-trial
-// path (checked fatally — the lockstep machinery must not change the
-// science). Where the host has AVX2, the AVX2 lockstep report must equal
-// the scalar per-trial report too, apart from its kernel fields (also
-// fatal: an AVX2 lane draws exactly what the scalar kernel draws), and its
-// wall clock is timed against scalar with the speedup recorded in the JSON
-// (kernels/avx2_kernel.cpp runs the stage-1 binomial and the multinomial
-// chain for 4 lanes of trials on one SIMD generator).
-//
 // Flags: --n, --k, --trials, --seed, --max-parallel, --round-divisor,
-//        --tau-epsilon, --threads (0 = hardware), --kernel, --json (empty
-//        disables the file), --mixed-grid, --small-n, --large-n,
-//        --small-cells, --kernel-shootout.
+//        --tau-epsilon, --threads (0 = hardware), --json (empty disables
+//        the file), --mixed-grid, --small-n, --large-n, --small-cells.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -183,146 +170,6 @@ int run_mixed_grid(const SweepCliOptions& opts, Count small_n, Count large_n,
   return 0;
 }
 
-// --kernel-shootout: the same collapsed workload through each round kernel,
-// executed as lockstep whole-cell launches. Every leg must reproduce the
-// scalar per-trial report byte for byte (kernel fields aside); AVX2 is the
-// speed leg.
-int run_kernel_shootout(const SweepCliOptions& opts, Count n, std::size_t k,
-                        double max_parallel, double tau_epsilon) {
-  PPSIM_CHECK(!opts.stopping.adaptive,
-              "--kernel-shootout groups a fixed trial batch into lockstep "
-              "lanes; adaptive stopping cannot hold the groups together");
-  benchutil::banner("throughput --kernel-shootout",
-                    "scalar vs avx2 round kernels on one collapsed cell, "
-                    "trials advanced in lockstep groups");
-  // Lockstep needs a group's worth of trials to fill the SIMD lanes.
-  const std::size_t trials = std::max<std::size_t>(opts.trials, 8);
-  benchutil::param("n", n);
-  benchutil::param("k", static_cast<std::int64_t>(k));
-  benchutil::param("trials", static_cast<std::int64_t>(trials));
-  benchutil::param("seed", static_cast<std::int64_t>(opts.seed));
-  benchutil::param("avx2 compiled", kernels::avx2_compiled() ? "yes" : "no");
-  benchutil::param("avx2 supported", kernels::avx2_supported() ? "yes" : "no");
-
-  const InitialConfig init = figure1_configuration(n, k);
-  const auto budget =
-      static_cast<Interactions>(max_parallel * static_cast<double>(n));
-  const UndecidedStateDynamics usd(k);
-  const Configuration initial =
-      UndecidedStateDynamics::initial_configuration(init.opinion_counts);
-
-  auto spec_for = [&](kernels::KernelKind kind) {
-    SweepSpec spec;
-    spec.name = "throughput_kernel_shootout";
-    opts.configure(spec);
-    spec.trials = trials;
-    spec.kernel = kind;
-    SweepCell cell;
-    cell.n = n;
-    cell.k = k;
-    cell.bias = static_cast<double>(init.bias);
-    cell.engine = EngineKind::kCollapsed;
-    cell.tau_epsilon = tau_epsilon;
-    cell.name = "collapsed";
-    spec.cells.push_back(cell);
-    return spec;
-  };
-  auto trial = [&](const SweepTrial& ctx) -> SweepMetrics {
-    Engine engine = ctx.make_engine(usd, initial);
-    return consensus_metrics(run_engine_trial(engine, budget));
-  };
-  auto plan = [&](const SweepCell&) -> std::optional<LockstepPlan> {
-    return LockstepPlan{&usd, &initial, budget};
-  };
-
-  const SweepResult scalar_per_trial =
-      SweepRunner(spec_for(kernels::KernelKind::kScalar)).run(trial);
-  const SweepResult scalar_lockstep =
-      SweepRunner(spec_for(kernels::KernelKind::kScalar)).run(trial, plan);
-  const bool identical =
-      scalar_per_trial.to_json() == scalar_lockstep.to_json();
-
-  Table table({"kernel", "mode", "wall_seconds", "stabilized"});
-  table.row()
-      .cell("scalar")
-      .cell("per-trial")
-      .cell(scalar_per_trial.wall_seconds, 4)
-      .cell(scalar_per_trial.cells[0].rate("stabilized"), 2)
-      .done();
-  table.row()
-      .cell("scalar")
-      .cell("lockstep")
-      .cell(scalar_lockstep.wall_seconds, 4)
-      .cell(scalar_lockstep.cells[0].rate("stabilized"), 2)
-      .done();
-
-  double avx2_wall = 0.0;
-  double speedup = 0.0;
-  bool identical_avx2 = true;
-  if (kernels::avx2_supported()) {
-    SweepResult avx2 =
-        SweepRunner(spec_for(kernels::KernelKind::kAvx2)).run(trial, plan);
-    // The kernel fields are the only legitimate difference; the JSON
-    // carries no wall clock.
-    avx2.kernel = kernels::KernelKind::kScalar;
-    for (SweepCellResult& cr : avx2.cells) {
-      cr.cell.kernel = kernels::KernelKind::kScalar;
-    }
-    identical_avx2 = avx2.to_json() == scalar_per_trial.to_json();
-    avx2_wall = avx2.wall_seconds;
-    speedup = avx2_wall > 0.0 ? scalar_lockstep.wall_seconds / avx2_wall : 0.0;
-    table.row()
-        .cell("avx2")
-        .cell("lockstep")
-        .cell(avx2_wall, 4)
-        .cell(avx2.cells[0].rate("stabilized"), 2)
-        .done();
-  }
-  benchutil::tsv_block("kernel_shootout", table);
-  table.write_pretty(std::cout);
-
-  std::cout << "\nscalar lockstep == per-trial (byte-identical JSON): "
-            << (identical ? "yes" : "NO") << "\n";
-  if (kernels::avx2_supported()) {
-    std::cout << "avx2 lockstep == scalar per-trial (byte-identical JSON, "
-                 "kernel fields aside): "
-              << (identical_avx2 ? "yes" : "NO") << "\n";
-    std::cout << "avx2 vs scalar lockstep (wall-clock): "
-              << format_double(speedup, 2) << "x\n";
-  } else {
-    std::cout << "avx2 leg skipped: kernel unavailable on this host\n";
-  }
-
-  if (!opts.json.empty()) {
-    JsonObject report;
-    report.field("bench", "throughput_kernel_shootout")
-        .field("n", static_cast<std::int64_t>(n))
-        .field("k", static_cast<std::int64_t>(k))
-        .field("trials", static_cast<std::int64_t>(trials))
-        .field("threads", static_cast<std::int64_t>(scalar_lockstep.threads))
-        .field("avx2_compiled", kernels::avx2_compiled())
-        .field("avx2_supported", kernels::avx2_supported())
-        .field("scalar_per_trial_wall_seconds", scalar_per_trial.wall_seconds)
-        .field("scalar_lockstep_wall_seconds", scalar_lockstep.wall_seconds)
-        .field("avx2_lockstep_wall_seconds", avx2_wall)
-        .field("avx2_speedup", speedup)
-        .field("reports_identical", identical)
-        .field("reports_identical_avx2", identical_avx2)
-        .field_json("sweep", scalar_lockstep.to_json());
-    report.write_file(opts.json);
-    std::cout << "json report written to " << opts.json << "\n";
-  }
-
-  PPSIM_CHECK(identical,
-              "lockstep launches changed the science: scalar lockstep and "
-              "per-trial sweep reports differ");
-  PPSIM_CHECK(identical_avx2,
-              "the avx2 kernel drew differently from scalar: avx2 lockstep "
-              "and scalar per-trial sweep reports differ beyond the kernel "
-              "fields");
-  return 0;
-}
-
 int run(int argc, char** argv) {
   Cli cli(argc, argv);
   const Count n = cli.get_int("n", 10'000'000);
@@ -331,7 +178,6 @@ int run(int argc, char** argv) {
   const Interactions round_divisor = cli.get_int("round-divisor", 16);
   const double tau_epsilon = cli.get_double("tau-epsilon", 0.05);
   const bool mixed_grid = cli.get_bool("mixed-grid", false);
-  const bool kernel_shootout = cli.get_bool("kernel-shootout", false);
   const Count small_n = cli.get_int("small-n", 100'000);
   const Count large_n = cli.get_int("large-n", 1'000'000'000);
   const auto small_cells = static_cast<std::size_t>(cli.get_int("small-cells", 12));
@@ -343,9 +189,6 @@ int run(int argc, char** argv) {
   if (mixed_grid) {
     return run_mixed_grid(opts, small_n, large_n, small_cells, k, max_parallel,
                           tau_epsilon);
-  }
-  if (kernel_shootout) {
-    return run_kernel_shootout(opts, n, k, max_parallel, tau_epsilon);
   }
 
   benchutil::banner("throughput",

@@ -9,7 +9,7 @@
 //   ppsim_client --socket /tmp/ppsim.sock --n 50000 --jsonl   # raw lines
 //
 // --json writes the report with the same bytes ppsim_run --json would for
-// the identical spec/seed/kernel (the CI smoke lane diffs the two files);
+// the identical spec and seed (the CI smoke lane diffs the two files);
 // --jsonl forwards the server's response lines verbatim to stdout for
 // scripting. --n/--k accept comma lists and expand to an n-outer, k-inner
 // grid of cells on the server.
@@ -71,7 +71,6 @@ int run(int argc, char** argv) {
   const std::string k_flag = cli.get_string("k", "2");
   const std::string bias = cli.get_string("bias", "auto");
   const std::string engine = cli.get_string("engine", "auto");
-  const std::string kernel = cli.get_string("kernel", "scalar");
   const long long trials = cli.get_int("trials", 1);
   const long long seed = cli.get_int("seed", 1);
   const long long threads = cli.get_int("threads", 1);
@@ -103,7 +102,6 @@ int run(int argc, char** argv) {
       submit.field("bias", static_cast<std::int64_t>(std::stoll(bias)));
     }
     submit.field("engine", engine)
-        .field("kernel", kernel)
         .field("trials", static_cast<std::int64_t>(trials))
         .field("seed", static_cast<std::int64_t>(seed))
         .field("threads", static_cast<std::int64_t>(threads))

@@ -207,9 +207,7 @@ int run(int argc, char** argv) {
         cell.params = sc.params();
         run_one_cell("ppsim_run", std::move(cell), opts,
                      [&](const SweepTrial& ctx) {
-                       CollapsedSimulator::Options copts;
-                       copts.kernel = ctx.cell.kernel.value_or(opts.kernel);
-                       CollapsedSimulator sim(usd, initial, ctx.seed, copts);
+                       CollapsedSimulator sim(usd, initial, ctx.seed);
                        ChurnModel churn(sc.churn_rate, sc.churn_rate, policy,
                                         ctx.rng());
                        while (!sim.is_stable() && sim.interactions() < budget) {
@@ -268,11 +266,7 @@ int run(int argc, char** argv) {
       // Archive mode: one recorded run streamed to a trajectory archive
       // (io/archive_run.hpp), resumable from its embedded checkpoints. The
       // run reproduces sweep trial 0 (same derived seed); --engine auto maps
-      // to collapsed, the engine archives exist to make resumable. Archive
-      // runs always use the scalar kernel (--kernel is ignored here):
-      // resume replays the recorded draw sequence, and the archive format
-      // does not record which kernel produced it, so the deterministic
-      // baseline is the only backend that can honour a recorded checkpoint.
+      // to collapsed, the engine archives exist to make resumable.
       const UndecidedStateDynamics usd(k);
       const Configuration initial =
           UndecidedStateDynamics::initial_configuration(init.opinion_counts);
@@ -349,8 +343,7 @@ int run(int argc, char** argv) {
         Engine engine(*engine_override, usd,
                       UndecidedStateDynamics::initial_configuration(init.opinion_counts),
                       series_seed,
-                      {.round_divisor = base_cell(*engine_override).round_divisor,
-                       .kernel = opts.kernel});
+                      {.round_divisor = base_cell(*engine_override).round_divisor});
         engine.run_until(
             [&](const Configuration& c, Interactions i) {
               rec.maybe_sample(c, i);
@@ -389,11 +382,8 @@ int run(int argc, char** argv) {
           UndecidedStateDynamics::initial_configuration(init.opinion_counts);
       run_one_cell("ppsim_run", base_cell(*engine_override), opts,
                    [&](const SweepTrial& ctx) {
-                     const kernels::KernelKind kernel =
-                         ctx.cell.kernel.value_or(opts.kernel);
                      Engine engine(ctx.cell.engine, usd, initial, ctx.seed,
-                                   {.round_divisor = ctx.cell.round_divisor,
-                                    .kernel = kernel});
+                                   {.round_divisor = ctx.cell.round_divisor});
                      return consensus_metrics(run_engine_trial(engine, budget));
                    });
       return 0;

@@ -31,7 +31,7 @@ std::string canonical_cell_key(const SweepSpec& spec, std::size_t cell_index,
       .field("protocol", cell.protocol)
       .field("round_divisor", cell.round_divisor)
       .field("tau_epsilon", cell.tau_epsilon)
-      .field("kernel", kernels::to_string(cell.kernel.value_or(spec.kernel)))
+      .field("kernel", kernels::to_string(kernels::KernelKind::kScalar))
       .field("params", params);
   JsonObject stopping;
   stopping.field("mode", spec.stopping.adaptive ? "auto" : "fixed");

@@ -14,8 +14,7 @@ CollapsedSimulator::CollapsedSimulator(const Protocol& protocol,
       table_(protocol),
       config_(std::move(initial)),
       rng_(seed),
-      options_(options),
-      kernel_(&kernels::resolve(options.kernel)) {
+      options_(options) {
   PPSIM_CHECK(config_.num_states() == protocol.num_states(),
               "configuration size must match the protocol's state space");
   PPSIM_CHECK(config_.population() >= 2, "population must have at least two agents");
@@ -146,7 +145,7 @@ Interactions CollapsedSimulator::step_round(Interactions max_interactions) {
   // buckets and splitting afterwards preserves the law).
   kernels::RoundTask task;
   if (stage_round(max_interactions, task)) {
-    kernel_->advance(task);
+    kKernel.advance(task);
     commit_round(task);
   }
   return last_round_size_;

@@ -3,8 +3,9 @@
 // A sweep cell's raw trial data is a pure function of its canonical inputs:
 // the cell's axes and params, its position in the grid (stream indices are
 // cell_index * trials + trial, so position IS an input), the trial count
-// cap, the base seed, the stopping discipline, the resolved kernel, the
-// identity of the trial function, and the build version. The cache keys on
+// cap, the base seed, the stopping discipline, the kernel name (always
+// "scalar", kept so existing keys stay valid), the identity of the trial
+// function, and the build version. The cache keys on
 // a canonical JSON rendering of exactly those inputs — render_double keeps
 // the float spelling platform-invariant — and stores ONLY the raw per-trial
 // metrics. Aggregates are deliberately not stored: a hit is replayed

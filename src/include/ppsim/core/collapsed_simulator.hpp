@@ -89,9 +89,7 @@ class CollapsedSimulator {
     /// tau_epsilon and max_round. Larger divisors mean smaller rounds: less
     /// τ-leaping staleness, more rounds.
     Interactions round_divisor = 0;
-    /// Round-sampling backend (kernels/round_kernel.hpp). Both kernels draw
-    /// the same sequence; kAvx2 throws at construction when the build or
-    /// CPU lacks it.
+    /// Round kernel (kernels/round_kernel.hpp). kScalar is the only kind.
     kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   };
 
@@ -163,23 +161,23 @@ class CollapsedSimulator {
   EngineCheckpoint checkpoint_state() const;
   void restore_checkpoint(const EngineCheckpoint& state);
 
-  /// The round kernel this engine samples with (resolved from
-  /// Options::kernel at construction).
-  const kernels::RoundKernel& kernel() const noexcept { return *kernel_; }
+  /// The round kernel this engine samples with.
+  const kernels::RoundKernel& kernel() const noexcept { return kKernel; }
 
-  /// Lockstep staging API (the sweep runner's whole-cell kernel launches —
-  /// see SweepRunner::run's lockstep overload). stage_round picks the round
-  /// length and either handles it locally (stable leap, adaptive
-  /// single-draw path) returning false, or stages a kernel task over this
-  /// engine's law, RNG and scratch and returns true; the caller then runs
-  /// the kernel (possibly batched with other engines' tasks) and calls
-  /// commit_round.
+  /// step_round split at the kernel call, so a caller can time or trace
+  /// the three phases separately. stage_round picks the round length and
+  /// either handles it locally (stable leap, adaptive single-draw path)
+  /// returning false, or stages a kernel task over this engine's law, RNG
+  /// and scratch and returns true; the caller then runs kernel().advance
+  /// on the task and calls commit_round.
   /// step_round(b) ≡ stage_round(b, t) && (kernel().advance(t),
   /// commit_round(t)). Requires max_interactions > 0.
   bool stage_round(Interactions max_interactions, kernels::RoundTask& task);
   void commit_round(const kernels::RoundTask& task);
 
  private:
+  static constexpr kernels::RoundKernel kKernel{};
+
   RunOutcome outcome() const;
   void observe() {
     if (recorder_ == nullptr) return;
@@ -204,7 +202,6 @@ class CollapsedSimulator {
   Xoshiro256pp rng_;
   Options options_;
   Interactions fixed_round_ = 0;  ///< fixed-round length; 0 = adaptive
-  const kernels::RoundKernel* kernel_;
   Interactions interactions_ = 0;
   Interactions clamped_ = 0;
   Interactions last_round_size_ = 0;

@@ -66,9 +66,8 @@ struct SweepCell {
   std::string protocol = "usd";
   Interactions round_divisor = 16;  ///< batched engine granularity
   double tau_epsilon = 0.05;        ///< collapsed engine drift tolerance
-  /// Round kernel for the batched/collapsed engines; nullopt inherits
-  /// SweepSpec::kernel (SweepRunner stamps the resolved kind in at
-  /// construction, so downstream readers always see a value).
+  /// Round kernel for the batched/collapsed engines; kScalar is the only
+  /// kind, so nullopt and a value report the same "kernel": "scalar".
   std::optional<kernels::KernelKind> kernel;
   /// Bench-specific scalar knobs, carried into the report verbatim.
   std::vector<std::pair<std::string, double>> params;
@@ -111,9 +110,8 @@ struct SweepSpec {
   unsigned threads = 1;           ///< worker count; 0 = hardware concurrency
   TrialStopping stopping;         ///< fixed by default
   SweepSchedulerKind scheduler = SweepSchedulerKind::kWorkStealing;
-  /// Default round kernel for cells that don't name their own. kScalar is
-  /// the determinism anchor: its draw sequence predates the kernels layer,
-  /// so every byte-identical-JSON pin assumes it.
+  /// Default round kernel for cells that don't name their own (kScalar is
+  /// the only kind).
   kernels::KernelKind kernel = kernels::KernelKind::kScalar;
 };
 
@@ -142,25 +140,6 @@ struct SweepTrial {
 using SweepMetrics = std::vector<std::pair<std::string, double>>;
 
 using SweepTrialFn = std::function<SweepMetrics(const SweepTrial&)>;
-
-/// Lockstep cell description for whole-cell kernel launches (the run()
-/// overload below). A cell is lockstep-eligible when its trial function is
-/// exactly "run the collapsed engine over `initial` to stabilization or
-/// `budget` interactions and report consensus_metrics" — the plan hands the
-/// runner enough to build the per-trial engines itself, so one kernel
-/// launch can advance a whole group of trials in lockstep. The protocol and
-/// configuration must outlive the run() call.
-struct LockstepPlan {
-  const Protocol* protocol = nullptr;
-  const Configuration* initial = nullptr;
-  Interactions budget = 0;
-};
-
-/// Returns the lockstep plan for a cell, or nullopt when the cell must run
-/// through the ordinary per-trial path (non-collapsed engine, recording,
-/// bench-specific metrics, ...).
-using LockstepPlanFn =
-    std::function<std::optional<LockstepPlan>(const SweepCell&)>;
 
 /// Per-cell aggregate of one metric (Summary: count, mean, stddev, min,
 /// p25, median, p75, max) plus the raw per-trial values in trial order.
@@ -222,7 +201,6 @@ struct SweepResult {
   std::uint64_t base_seed = 0;
   unsigned threads = 1;  ///< resolved worker count actually used
   TrialStopping stopping;
-  kernels::KernelKind kernel = kernels::KernelKind::kScalar;  ///< spec default
   std::vector<SweepCellResult> cells;
   /// True when a cooperative cancel (SweepJobOptions::cancel) was observed:
   /// cells that completed every scheduled trial are delivered normally, the
@@ -244,13 +222,11 @@ struct SweepResult {
   void write_json(const std::string& path) const;
 };
 
-/// One cell's entry of the unified report, rendered standalone.
-/// `default_kernel` resolves cells whose kernel is nullopt (SweepResult
-/// passes its spec default). Exposed so the sweep service can stream a cell
-/// the moment it completes using exactly the bytes the final report will
-/// contain — to_json() is a join of these strings, nothing more.
-std::string sweep_cell_json(const SweepCellResult& cr,
-                            kernels::KernelKind default_kernel);
+/// One cell's entry of the unified report, rendered standalone. Exposed so
+/// the sweep service can stream a cell the moment it completes using
+/// exactly the bytes the final report will contain — to_json() is a join of
+/// these strings, nothing more.
+std::string sweep_cell_json(const SweepCellResult& cr);
 
 /// Completion callback for one sweep cell: fired exactly once per completed
 /// cell, by whichever worker finishes the cell's last trial (the "last
@@ -270,8 +246,6 @@ using SweepCellCallback = std::function<void(const SweepCellResult&)>;
 struct SweepJobOptions {
   /// Per-cell completion callback (see SweepCellCallback); null = none.
   SweepCellCallback on_cell;
-  /// Lockstep eligibility plan (the run(fn, plan) overload's second arg).
-  LockstepPlanFn lockstep;
   /// Cooperative cancellation: when non-null and *cancel becomes true,
   /// workers stop STARTING trials. Trials already in flight finish; cells
   /// whose every scheduled trial still completed are aggregated and
@@ -325,21 +299,7 @@ class SweepRunner {
   /// over run_job with default options.
   SweepResult run(const SweepTrialFn& fn) const;
 
-  /// Like run(fn), but cells for which `plan` returns a LockstepPlan are
-  /// executed as whole-cell kernel launches: their trials are grouped in
-  /// runs of kernel().lockstep_width() consecutive trial indices, each
-  /// group's engines are stepped round-by-round through the staging API
-  /// (CollapsedSimulator::stage_round / commit_round) and one
-  /// advance_batch call per round samples every lane — the layout the AVX2
-  /// kernel vectorizes across. Seeding replicates the per-trial discipline
-  /// exactly, so with the scalar kernel the report is byte-identical to
-  /// run(fn) (tests/sweep_test.cpp pins this). Cells fall back to the
-  /// per-trial path when the plan is nullopt, the engine is not collapsed,
-  /// stopping is adaptive, or the scheduler is the static pool. Thin
-  /// wrapper over run_job.
-  SweepResult run(const SweepTrialFn& fn, const LockstepPlanFn& plan) const;
-
-  /// The job form both run() overloads delegate to: a sweep submission with
+  /// The job form run() delegates to: a sweep submission with
   /// incremental result assembly. Each cell is aggregated by its last
   /// finisher the moment its final trial lands (not in a sequential pass at
   /// the end), opts.on_cell streams completed cells to the caller while
@@ -364,21 +324,17 @@ class SweepRunner {
 /// flags identically: --trials (a count, or auto[:rel_err] for adaptive
 /// stopping), --min-trials / --max-trials (adaptive wave floor and cap),
 /// --seed, --threads (0 = hardware), --json (unified report path; empty
-/// disables), --kernel (auto|scalar|avx2 round-sampling backend; auto picks
-/// the widest kernel this build+CPU supports, and an explicitly requested
-/// unavailable backend fails fast with a clear error), --record-to
-/// (trajectory-archive destination; empty disables), --checkpoint-every
-/// (checkpoint stride for recorded runs, 0 = none), and the scenario knobs
-/// --adversary STRENGTH, --churn RATE[:undecided|uniform] and --regraph
-/// ROUNDS (core/scenario.hpp; all default off, and binaries that cannot
-/// honour a knob reject it via ScenarioSpec::require_only).
+/// disables), --record-to (trajectory-archive destination; empty
+/// disables), --checkpoint-every (checkpoint stride for recorded runs,
+/// 0 = none), and the scenario knobs --adversary STRENGTH, --churn
+/// RATE[:undecided|uniform] and --regraph ROUNDS (core/scenario.hpp; all
+/// default off, and binaries that cannot honour a knob reject it via
+/// ScenarioSpec::require_only).
 struct SweepCliOptions {
   std::size_t trials = 1;  ///< fixed count, or the cap when stopping.adaptive
   std::uint64_t seed = 42;
   unsigned threads = 1;
   std::string json;
-  /// Resolved --kernel choice ("auto" already resolved against this host).
-  kernels::KernelKind kernel = kernels::KernelKind::kScalar;
   /// Trajectory-archive destination ("" = no recording). Binaries that
   /// record one run treat it as a file path; benches that archive a
   /// representative trial per cell treat it as a directory.

@@ -1,41 +1,22 @@
-// Round-sampling kernels with runtime capability dispatch.
+// The round-sampling kernel of the counts-space engines.
 //
-// One simulated round of the counts-space engines is two draws against the
-// frozen start-of-round PairLaw:
+// One simulated round of the collapsed engine (both round policies) is two
+// draws against the frozen start-of-round PairLaw:
 //
 //   active ~ Binomial(batch, active_weight / total_weight)   // null split
 //   draws  ~ Multinomial(active, pair weights)               // pair split
 //
 // That sampling step — not the O(S²) law rebuild or the count updates — is
 // the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell), and it
-// is what a RoundKernel implements. The layer follows the classic
-// accelerator-dispatch shape: a scalar CPU baseline that is *always* built
-// and defines the draw sequence, plus optional accelerated backends
-// compiled behind CMake feature checks and selected at *runtime* from CPU
-// capability bits. Today's accelerated backend is kAvx2 (a 4-lane SIMD
-// xoshiro256++ running util/random_variates' binomial sampler per lane,
-// advancing 4 lockstep trials); a CUDA/OpenCL backend plugs in by adding a
-// KernelKind, an implementation file gated in CMake, and a branch in
-// resolve() — engines and the sweep runner are already written against the
-// interface.
-//
-// Determinism contract:
-//   * kScalar is the anchor: one binomial() draw for the null split, then
-//     the conditional-binomial multinomial chain (multinomial_into), all on
-//     the repo's own sampler — so the sequence does not depend on which
-//     standard library built it.
-//   * kAvx2 lanes are byte-identical to kScalar: each lane consumes exactly
-//     the uniforms binomial() would draw from its trial's generator (its
-//     state advances only on the steps that lane consumes), so advance()
-//     and every lane of an advance_batch() group — full or ragged — equal
-//     kScalar's advance() on the same task. Pinned in
-//     tests/kernel_dispatch_test.cpp; the distributional gates in
-//     tests/kernel_distribution_test.cpp stay as a second line.
+// is what RoundKernel::advance implements: one binomial() draw for the null
+// split, then the conditional-binomial multinomial chain (multinomial_into),
+// both on util/random_variates' own sampler — so the draw sequence does not
+// depend on which standard library built it. tests/engine_equivalence_test
+// .cpp pins golden trajectories against it, and
+// tests/kernel_distribution_test.cpp checks its output law.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,17 +26,17 @@
 
 namespace ppsim::kernels {
 
+/// The one round kernel. The enum and the auto_kind() policy remain so
+/// option structs and reports can keep naming it ("kernel": "scalar").
 enum class KernelKind {
-  kScalar,  ///< always built; the determinism anchor
-  kAvx2,    ///< CMake feature-gated, runtime cpuid-dispatched; same draws
+  kScalar,
 };
 
-/// "scalar" | "avx2" (flag values and JSON field).
+/// "scalar" (the JSON field value).
 std::string to_string(KernelKind kind);
 
-/// Inverse of to_string; nullopt for unknown names (including "auto" —
-/// resolve the auto policy with parse_kernel_flag/auto_kind instead).
-std::optional<KernelKind> parse_kernel(const std::string& name);
+/// The kernel an unconfigured run uses: always kScalar.
+constexpr KernelKind auto_kind() noexcept { return KernelKind::kScalar; }
 
 /// One staged round: the kernel reads (law, batch, rng) and writes (active,
 /// draws). `draws` is engine-owned scratch resized by the kernel to
@@ -70,54 +51,10 @@ struct RoundTask {
 
 class RoundKernel {
  public:
-  virtual ~RoundKernel() = default;
-  virtual KernelKind kind() const noexcept = 0;
-
-  /// Number of lockstep trials one advance_batch() call exploits; 1 means
-  /// the kernel gains nothing from batching beyond a plain loop.
-  virtual std::size_t lockstep_width() const noexcept { return 1; }
+  KernelKind kind() const noexcept { return KernelKind::kScalar; }
 
   /// Samples one round into task.active / *task.draws.
-  virtual void advance(RoundTask& task) const = 0;
-
-  /// Samples one round for each staged task. The default runs advance() per
-  /// task; every kernel's lockstep launch is *bit-identical* to advancing
-  /// the trials one by one on kScalar — no kernel forks behavior on how the
-  /// sweep runner happened to group work.
-  virtual void advance_batch(std::span<RoundTask* const> tasks) const {
-    for (RoundTask* task : tasks) advance(*task);
-  }
+  void advance(RoundTask& task) const;
 };
-
-/// True when the AVX2 backend was compiled in (CMake found -mavx2 and
-/// PPSIM_ENABLE_AVX2 was ON).
-bool avx2_compiled() noexcept;
-
-/// True when the AVX2 backend is compiled in *and* this CPU reports the
-/// avx2 capability bit — the runtime dispatch predicate.
-bool avx2_supported() noexcept;
-
-/// The always-available scalar baseline.
-const RoundKernel& scalar_kernel() noexcept;
-
-/// The AVX2 backend, or nullptr when compiled out. Does not check cpuid.
-const RoundKernel* avx2_kernel_or_null() noexcept;
-
-/// Kinds usable on this build + host, scalar first.
-std::vector<KernelKind> available_kernels();
-
-/// The kind `--kernel auto` resolves to: the fastest supported backend
-/// (kAvx2 when compiled in and the CPU has it), else kScalar.
-KernelKind auto_kind() noexcept;
-
-/// Maps a kind to its kernel. Throws CheckFailure with a clear message when
-/// the backend is compiled out or the CPU lacks the capability.
-const RoundKernel& resolve(KernelKind kind);
-
-/// Parses the CLI surface: "auto" → auto_kind(), "scalar"/"avx2" → the
-/// explicit kind (throwing the resolve() error early when an explicitly
-/// requested backend is unavailable on this build/host), anything else →
-/// CheckFailure naming the valid values.
-KernelKind parse_kernel_flag(const std::string& flag);
 
 }  // namespace ppsim::kernels

@@ -13,12 +13,10 @@
 //     binomial random variates", J. Stat. Comput. Simul. 1993), with the
 //     acceptance bound built from Stirling-series tails, so no lgamma and
 //     no per-draw distribution object on the hot path.
-// Uniform contract (what makes the AVX2 kernel's lanes byte-identical to
-// binomial()): every attempt consumes one (u, v) pair of 52-bit uniforms
+// Uniform contract (part of the draw sequence every golden pin and archive
+// depends on): every attempt consumes one (u, v) pair of 52-bit uniforms
 // uniform52(rng()), inversion included (it reads u only); the trivial cases
-// n = 0 and p ∈ {0, 1} (after clamping) consume nothing. The per-attempt
-// math lives inline below so kernels/avx2_kernel.cpp runs exactly the same
-// code per lane.
+// n = 0 and p ∈ {0, 1} (after clamping) consume nothing.
 //
 // Multinomial and hypergeometric reduce to sequential conditional binomial
 // and inverse-CDF draws.
@@ -45,15 +43,12 @@ std::int64_t binomial(Xoshiro256pp& rng, std::int64_t trials, double p);
 
 /// The sampler's uniform: the top 52 bits of a generator output spliced
 /// into the mantissa of a double in [1, 2), minus 1 — a value in [0, 1).
-/// The AVX2 kernel computes the same bits per lane.
 inline double uniform52(std::uint64_t bits) noexcept {
   return std::bit_cast<double>((bits >> 12) | 0x3FF0000000000000ull) - 1.0;
 }
 
-// The pieces of one binomial draw, shared by binomial() and the AVX2
-// kernel. Internal linkage on purpose: each translation unit (the -mavx2
-// kernel included) inlines its own copy instead of the linker picking one
-// compiled for another instruction set.
+// The pieces of one binomial draw: binomial() runs them, and
+// tests/random_variates_test.cpp drives them directly.
 namespace binomial_detail {
 namespace {
 
@@ -133,8 +128,8 @@ inline std::int64_t binomial_inversion(std::int64_t n, double p, double u) {
   return k;
 }
 
-/// One Binomial(n, p) draw split into setup and attempts, so a SIMD kernel
-/// can run several draws' attempts side by side on per-lane uniforms.
+/// One Binomial(n, p) draw split into setup and attempts; binomial() feeds
+/// attempt() uniform pairs until one is accepted.
 struct BinomialDraw {
   std::int64_t n = 0;
   double p = 0.0;      ///< min(p, 1−p) after the reflection
@@ -185,7 +180,7 @@ std::vector<std::int64_t> multinomial(Xoshiro256pp& rng, std::int64_t trials,
                                       const std::vector<double>& weights);
 
 /// multinomial() into a caller-owned buffer (resized to weights.size()),
-/// so per-round callers — the scalar round kernel — don't allocate on the
+/// so per-round callers — the round kernel — don't allocate on the
 /// hot path. Identical draw sequence to multinomial(): the vector-returning
 /// overload is a wrapper around this.
 void multinomial_into(Xoshiro256pp& rng, std::int64_t trials,

@@ -1,6 +1,6 @@
 #include "ppsim/kernels/round_kernel.hpp"
 
-#include "ppsim/util/check.hpp"
+#include "ppsim/util/random_variates.hpp"
 
 namespace ppsim::kernels {
 
@@ -8,58 +8,17 @@ std::string to_string(KernelKind kind) {
   switch (kind) {
     case KernelKind::kScalar:
       return "scalar";
-    case KernelKind::kAvx2:
-      return "avx2";
   }
   return "unknown";
 }
 
-std::optional<KernelKind> parse_kernel(const std::string& name) {
-  if (name == "scalar") return KernelKind::kScalar;
-  if (name == "avx2") return KernelKind::kAvx2;
-  return std::nullopt;
-}
-
-bool avx2_supported() noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  return avx2_compiled() && __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-std::vector<KernelKind> available_kernels() {
-  std::vector<KernelKind> kinds{KernelKind::kScalar};
-  if (avx2_supported()) kinds.push_back(KernelKind::kAvx2);
-  return kinds;
-}
-
-KernelKind auto_kind() noexcept {
-  return avx2_supported() ? KernelKind::kAvx2 : KernelKind::kScalar;
-}
-
-const RoundKernel& resolve(KernelKind kind) {
-  if (kind == KernelKind::kScalar) return scalar_kernel();
-  PPSIM_CHECK(kind == KernelKind::kAvx2, "unknown kernel kind");
-  PPSIM_CHECK(avx2_compiled(),
-              "the avx2 round kernel was compiled out of this build "
-              "(configure with -DPPSIM_ENABLE_AVX2=ON and a compiler "
-              "accepting -mavx2); use --kernel scalar or --kernel auto");
-  PPSIM_CHECK(avx2_supported(),
-              "this CPU does not report the avx2 capability bit; use "
-              "--kernel scalar or --kernel auto");
-  const RoundKernel* kernel = avx2_kernel_or_null();
-  PPSIM_CHECK(kernel != nullptr, "avx2 kernel registry inconsistency");
-  return *kernel;
-}
-
-KernelKind parse_kernel_flag(const std::string& flag) {
-  if (flag == "auto") return auto_kind();
-  const std::optional<KernelKind> kind = parse_kernel(flag);
-  PPSIM_CHECK(kind.has_value(),
-              "--kernel must be auto, scalar or avx2; got '" + flag + "'");
-  resolve(*kind);  // an explicitly requested backend must exist: fail early
-  return *kind;
+void RoundKernel::advance(RoundTask& task) const {
+  const PairLaw& law = *task.law;
+  task.active = binomial(*task.rng, task.batch,
+                         law.active_weight() / law.total_weight());
+  if (task.active > 0) {
+    multinomial_into(*task.rng, task.active, law.weights(), *task.draws);
+  }
 }
 
 }  // namespace ppsim::kernels

@@ -72,11 +72,12 @@ ParsedSubmit parse_submit(const JsonValue& request,
   }
   p.spec.threads = static_cast<unsigned>(threads);
 
-  // kScalar default (not "auto"): a daemon's cache outlives one process, so
-  // the default must not depend on which host resolved it. Clients wanting
-  // the widest kernel ask for it explicitly.
-  p.spec.kernel =
-      kernels::parse_kernel_flag(request.get_string("kernel", "scalar"));
+  // The one round kernel answers to "scalar" and "auto"; any other value is
+  // a client error, not something to serve under another kernel's name.
+  const std::string kernel = request.get_string("kernel", "scalar");
+  PPSIM_CHECK(kernel == "scalar" || kernel == "auto",
+              "request field 'kernel' must be scalar or auto (got '" + kernel +
+                  "')");
 
   const std::string engine_flag = request.get_string("engine", "auto");
   std::optional<EngineKind> engine;
@@ -161,10 +162,8 @@ SweepTrialFn make_trial_fn(const ParsedSubmit& p) {
           UndecidedStateDynamics::initial_configuration(init.opinion_counts);
       const auto budget = static_cast<Interactions>(
           max_parallel * static_cast<double>(ctx.cell.n));
-      const kernels::KernelKind kernel =
-          ctx.cell.kernel.value_or(kernels::KernelKind::kScalar);
       Engine engine(ctx.cell.engine, usd, initial, ctx.seed,
-                    {.round_divisor = ctx.cell.round_divisor, .kernel = kernel});
+                    {.round_divisor = ctx.cell.round_divisor});
       return consensus_metrics(run_engine_trial(engine, budget));
     };
   }
@@ -217,13 +216,12 @@ SweepTrialFn make_trial_fn(const ParsedSubmit& p) {
   };
 }
 
-std::string cell_line(const SweepCellResult& cr, kernels::KernelKind kernel,
-                      bool cached) {
+std::string cell_line(const SweepCellResult& cr, bool cached) {
   JsonObject line;
   line.field("type", "cell")
       .field("cell_index", static_cast<std::int64_t>(cr.cell_index))
       .field("cached", cached)
-      .field_json("data", sweep_cell_json(cr, kernel));
+      .field_json("data", sweep_cell_json(cr));
   return line.str();
 }
 
@@ -238,8 +236,6 @@ void SweepService::run_job(const JsonValue& request, const EmitFn& emit,
                            const std::atomic<bool>* cancel) {
   const ParsedSubmit parsed = parse_submit(request, config_);
   const SweepRunner runner(parsed.spec);
-  // The runner's spec has kernels stamped into every cell — key off THAT
-  // spec, so the canonical key sees the resolved kernel.
   const SweepSpec& spec = runner.spec();
   const std::size_t num_cells = spec.cells.size();
 
@@ -276,14 +272,14 @@ void SweepService::run_job(const JsonValue& request, const EmitFn& emit,
     cr.trials_run = hits[c]->trials_run;
     cr.trials = hits[c]->trials;
     aggregate_sweep_cell(cr);
-    emit_line(cell_line(cr, spec.kernel, /*cached=*/true));
+    emit_line(cell_line(cr, /*cached=*/true));
   }
 
   opts.cancel = &stop;
   opts.on_cell = [&](const SweepCellResult& cr) {
     cache_.insert(keys[cr.cell_index],
                   {cr.trials_requested, cr.trials_run, cr.trials});
-    emit_line(cell_line(cr, spec.kernel, /*cached=*/false));
+    emit_line(cell_line(cr, /*cached=*/false));
   };
 
   const SweepTrialFn fn = make_trial_fn(parsed);

@@ -22,6 +22,7 @@
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/stats.hpp"
+#include "scenario_stat_util.hpp"
 
 namespace ppsim {
 namespace {
@@ -235,26 +236,7 @@ TEST(CollapsedSimulatorTest, EngineFacadeSelectsCollapsed) {
 
 // ----------------------------- distributional equivalence vs. sequential --
 
-/// Two-sample Kolmogorov–Smirnov distance sup_x |F_a(x) - F_b(x)|.
-double ks_distance(std::vector<double> a, std::vector<double> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  double d = 0.0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    if (a[ia] <= b[ib]) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-    d = std::max(d, std::abs(static_cast<double>(ia) / na -
-                             static_cast<double>(ib) / nb));
-  }
-  return d;
-}
+using testutil::ks_distance;
 
 TEST(CollapsedSimulatorTest, StabilizationTimesShareDistributionWithSequential) {
   // Full-run comparison against the exact sequential chain with adaptive

@@ -237,7 +237,7 @@ TEST(EngineEquivalenceTest, StabilizationTimesShareDistribution) {
 
 // Golden trajectories of the scalar kernel under util/random_variates' own
 // binomial sampler (inversion / BTRS on uniform52 pairs), which replaced
-// std::binomial_distribution and is the one algorithm behind both kernels.
+// std::binomial_distribution.
 // These pins hold the determinism anchor in place across any future
 // kernel-layer refactor and on any standard library. (The values are
 // draw-for-draw, not distributional: any change here means recorded
@@ -294,7 +294,7 @@ TEST(ScalarKernelGoldenTest, FullRunsToStabilization) {
 
 TEST(ScalarKernelGoldenTest, ExplicitScalarKernelEqualsDefault) {
   // Options::kernel = kScalar is the default; requesting it explicitly must
-  // route through the same registry object and the same draws.
+  // use the same kernel object and make the same draws.
   const UndecidedStateDynamics usd(3);
   CollapsedSimulator::Options copts;
   copts.kernel = kernels::KernelKind::kScalar;

@@ -1,106 +1,31 @@
-// Kernel registry and dispatch semantics: parsing, capability-driven
-// selection, the failure modes for explicitly requesting an unavailable
-// backend, PairLaw's generation-counter invalidation, and the lockstep
-// (advance_batch) contract — batching tasks on either kernel must be
-// bit-identical to advancing them one by one on the scalar kernel.
+// The kernels layer's plumbing: the kernel's report name, PairLaw's
+// generation-counter invalidation, and the collapsed engine's staging API
+// (stage_round + kernel().advance + commit_round ≡ step_round).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
-#include "ppsim/core/engine.hpp"
-#include "ppsim/core/record_sink.hpp"
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
 #include "ppsim/protocols/usd.hpp"
-#include "ppsim/util/check.hpp"
 #include "ppsim/util/rng.hpp"
 
 namespace ppsim::kernels {
 namespace {
 
 TEST(KernelRegistryTest, NamesRoundTrip) {
+  // The name is part of every sweep report and cell-cache key.
   EXPECT_EQ(to_string(KernelKind::kScalar), "scalar");
-  EXPECT_EQ(to_string(KernelKind::kAvx2), "avx2");
-  EXPECT_EQ(parse_kernel("scalar"), KernelKind::kScalar);
-  EXPECT_EQ(parse_kernel("avx2"), KernelKind::kAvx2);
-  EXPECT_EQ(parse_kernel("auto"), std::nullopt);
-  EXPECT_EQ(parse_kernel("sse9"), std::nullopt);
 }
 
 TEST(KernelRegistryTest, ScalarIsAlwaysAvailable) {
-  const RoundKernel& scalar = scalar_kernel();
-  EXPECT_EQ(scalar.kind(), KernelKind::kScalar);
-  EXPECT_EQ(scalar.lockstep_width(), 1u);
-  EXPECT_EQ(&resolve(KernelKind::kScalar), &scalar);
-
-  const auto kinds = available_kernels();
-  ASSERT_FALSE(kinds.empty());
-  EXPECT_EQ(kinds.front(), KernelKind::kScalar);
-}
-
-TEST(KernelRegistryTest, CompiledFlagMatchesRegistryPointer) {
-  // The stub translation unit must keep the registry consistent: the avx2
-  // kernel object exists iff the SIMD implementation was compiled in.
-  EXPECT_EQ(avx2_compiled(), avx2_kernel_or_null() != nullptr);
-  if (!avx2_compiled()) {
-    EXPECT_FALSE(avx2_supported());
-  }
-}
-
-TEST(KernelRegistryTest, AutoPicksTheWidestSupportedKernel) {
-  if (avx2_supported()) {
-    EXPECT_EQ(auto_kind(), KernelKind::kAvx2);
-    const RoundKernel& k = resolve(KernelKind::kAvx2);
-    EXPECT_EQ(k.kind(), KernelKind::kAvx2);
-    EXPECT_GE(k.lockstep_width(), 2u);
-    const auto kinds = available_kernels();
-    EXPECT_NE(std::find(kinds.begin(), kinds.end(), KernelKind::kAvx2),
-              kinds.end());
-  } else {
-    EXPECT_EQ(auto_kind(), KernelKind::kScalar);
-    EXPECT_THROW(resolve(KernelKind::kAvx2), CheckFailure);
-  }
-  // "auto" must always resolve without throwing, whatever the host.
-  EXPECT_EQ(parse_kernel_flag("auto"), auto_kind());
-  EXPECT_EQ(parse_kernel_flag("scalar"), KernelKind::kScalar);
-}
-
-TEST(KernelRegistryTest, ExplicitUnsupportedKernelFailsWithClearError) {
-  if (avx2_supported()) GTEST_SKIP() << "host supports avx2";
-  try {
-    parse_kernel_flag("avx2");
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& e) {
-    // The message must tell the user both what failed and what to do.
-    const std::string what = e.what();
-    EXPECT_NE(what.find("avx2"), std::string::npos) << what;
-    EXPECT_NE(what.find("--kernel scalar"), std::string::npos) << what;
-  }
-}
-
-TEST(KernelRegistryTest, UnknownFlagValueThrows) {
-  EXPECT_THROW(parse_kernel_flag("sse9"), CheckFailure);
-  EXPECT_THROW(parse_kernel_flag(""), CheckFailure);
-}
-
-TEST(KernelRegistryTest, EnginesRejectUnavailableKernel) {
-  if (avx2_supported()) GTEST_SKIP() << "host supports avx2";
+  EXPECT_EQ(auto_kind(), KernelKind::kScalar);
   const UndecidedStateDynamics usd(3);
-  CollapsedSimulator::Options collapsed_opts;
-  collapsed_opts.kernel = KernelKind::kAvx2;
-  EXPECT_THROW(CollapsedSimulator(usd, Configuration({0, 4, 3, 3}), 1,
-                                  collapsed_opts),
-               CheckFailure);
-  EXPECT_THROW(Engine(EngineKind::kBatched, usd, Configuration({0, 4, 3, 3}), 1,
-                      {.round_divisor = 16, .kernel = KernelKind::kAvx2}),
-               CheckFailure);
+  const CollapsedSimulator sim(usd, Configuration({0, 4, 3, 3}), 1);
+  EXPECT_EQ(sim.kernel().kind(), KernelKind::kScalar);
 }
 
 // ------------------------------------------------------------- pair law --
@@ -147,109 +72,7 @@ TEST(PairLawTest, WeightsMatchTheOrderedPairCounts) {
   EXPECT_DOUBLE_EQ(law.active_weight(), active);
 }
 
-// ------------------------------------------------------------- lockstep --
-
-/// Runs `rounds` staged rounds over `lanes` collapsed engines (seeds 1000,
-/// 1001, ...), advancing the staged tasks through `kernel` either one by
-/// one or as one advance_batch launch. Returns every lane's counts,
-/// interactions and final RNG state words, concatenated.
-std::vector<Count> run_staged(const Protocol& protocol,
-                              const Configuration& initial,
-                              const RoundKernel& kernel, bool batched,
-                              int rounds, std::size_t lanes) {
-  std::vector<std::unique_ptr<CollapsedSimulator>> engines;
-  for (std::size_t t = 0; t < lanes; ++t) {
-    engines.push_back(
-        std::make_unique<CollapsedSimulator>(protocol, initial, 1000 + t));
-  }
-  std::vector<RoundTask> tasks(lanes);
-  for (int r = 0; r < rounds; ++r) {
-    std::vector<RoundTask*> staged;
-    std::vector<std::size_t> staged_lane;
-    for (std::size_t t = 0; t < lanes; ++t) {
-      if (engines[t]->stage_round(1'000'000, tasks[t])) {
-        staged.push_back(&tasks[t]);
-        staged_lane.push_back(t);
-      }
-    }
-    if (batched) {
-      kernel.advance_batch(staged);
-    } else {
-      for (RoundTask* task : staged) kernel.advance(*task);
-    }
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      engines[staged_lane[i]]->commit_round(*staged[i]);
-    }
-  }
-  std::vector<Count> out;
-  for (const auto& engine : engines) {
-    const EngineCheckpoint cp = engine->checkpoint_state();
-    out.insert(out.end(), cp.counts.begin(), cp.counts.end());
-    out.push_back(static_cast<Count>(cp.interactions));
-    for (const std::uint64_t word : cp.rng_state) {
-      out.push_back(static_cast<Count>(word));
-    }
-  }
-  return out;
-}
-
-/// A small population (rounds of a few dozen interactions: inversion draws)
-/// and a large one (thousands per round: BTRS rejection loops).
-const std::vector<Configuration>& staged_configs() {
-  static const std::vector<Configuration> configs = {
-      Configuration({0, 400, 350, 250}),
-      Configuration({0, 40000, 35000, 25000})};
-  return configs;
-}
-
-TEST(ScalarLockstepTest, AdvanceBatchIsBitIdenticalToPerTaskAdvance) {
-  const UndecidedStateDynamics usd(3);
-  for (const Configuration& initial : staged_configs()) {
-    EXPECT_EQ(run_staged(usd, initial, scalar_kernel(), true, 40, 3),
-              run_staged(usd, initial, scalar_kernel(), false, 40, 3));
-  }
-}
-
-// An AVX2 lane consumes exactly the uniforms the scalar binomial() would
-// draw from that trial's generator, so a lockstep group — full or ragged —
-// is byte-identical to advancing each task alone on the scalar kernel:
-// counts, interaction totals and the RNG states written back.
-TEST(Avx2LockstepTest, FullGroupEqualsScalarAdvanceDrawForDraw) {
-  if (!avx2_supported()) GTEST_SKIP() << "host lacks AVX2";
-  const UndecidedStateDynamics usd(3);
-  const RoundKernel& avx2 = resolve(KernelKind::kAvx2);
-  for (const Configuration& initial : staged_configs()) {
-    EXPECT_EQ(run_staged(usd, initial, avx2, true, 40, 4),
-              run_staged(usd, initial, scalar_kernel(), false, 40, 4));
-  }
-}
-
-TEST(Avx2LockstepTest, RaggedGroupEqualsScalarAdvanceDrawForDraw) {
-  if (!avx2_supported()) GTEST_SKIP() << "host lacks AVX2";
-  const UndecidedStateDynamics usd(3);
-  const RoundKernel& avx2 = resolve(KernelKind::kAvx2);
-  for (const Configuration& initial : staged_configs()) {
-    EXPECT_EQ(run_staged(usd, initial, avx2, true, 40, 3),
-              run_staged(usd, initial, scalar_kernel(), false, 40, 3));
-  }
-}
-
-TEST(Avx2LockstepTest, FullCollapsedRunEqualsScalarRun) {
-  if (!avx2_supported()) GTEST_SKIP() << "host lacks AVX2";
-  const UndecidedStateDynamics usd(3);
-  auto run = [&](KernelKind kind) {
-    CollapsedSimulator::Options opts;
-    opts.kernel = kind;
-    CollapsedSimulator sim(usd, Configuration({0, 40000, 35000, 25000}), 99,
-                           opts);
-    const RunOutcome out = sim.run_until_stable(100'000'000);
-    EXPECT_TRUE(out.stabilized);
-    const EngineCheckpoint cp = sim.checkpoint_state();
-    return std::tuple(out.interactions, out.consensus, cp.counts,
-                      cp.rng_state, cp.clamped);
-  };
-  EXPECT_EQ(run(KernelKind::kAvx2), run(KernelKind::kScalar));
-}
+// ---------------------------------------------------------------- staging --
 
 TEST(ScalarLockstepTest, StagedPathMatchesStepRound) {
   // stage_round + kernel.advance + commit_round must equal step_round draw

@@ -1,22 +1,15 @@
-// Distributional validation of the AVX2 round kernel against the exact
-// two-stage law the scalar kernel realises. Its lanes are byte-identical to
-// scalar (tests/kernel_dispatch_test.cpp pins that); these gates check the
-// shared sampler's output law as a second line, three ways:
+// Distributional validation of the round kernel against the exact
+// two-stage law it realises. The golden pins in engine_equivalence_test fix
+// its draw sequence; these gates check its output law, two ways:
 //   1. chi-square of accumulated pair draws (including the null bucket)
 //      against the exact start-of-round law;
 //   2. moments of the stage-1 null-split binomial at extreme p, including
-//      paper-scale batch sizes;
-//   3. two-sample KS between avx2 and scalar stabilization times on USD.
-// Every test SKIPs on hosts without AVX2 (the CI avx2 lane runs them).
+//      paper-scale batch sizes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
-#include <numeric>
 #include <vector>
 
-#include "ppsim/core/collapsed_simulator.hpp"
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
@@ -24,7 +17,6 @@
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/rng.hpp"
 #include "ppsim/util/stats.hpp"
-#include "scenario_stat_util.hpp"
 
 namespace ppsim::kernels {
 namespace {
@@ -43,39 +35,25 @@ class OneWayEpidemic final : public Protocol {
   std::string name() const override { return "one-way epidemic"; }
 };
 
-class Avx2DistributionTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!avx2_supported()) {
-      GTEST_SKIP() << "host lacks AVX2 (or the kernel was compiled out)";
-    }
-    kernel_ = &resolve(KernelKind::kAvx2);
+/// Stages one task per generator over `law` with the given batch and
+/// advances each through the round kernel; fills per-task (active, draws).
+void advance_tasks(const PairLaw& law, Interactions batch,
+                   std::vector<Xoshiro256pp>& rngs,
+                   std::vector<RoundTask>& tasks,
+                   std::vector<std::vector<std::int64_t>>& draws) {
+  tasks.resize(rngs.size());
+  draws.resize(rngs.size());
+  for (std::size_t l = 0; l < rngs.size(); ++l) {
+    tasks[l].law = &law;
+    tasks[l].batch = batch;
+    tasks[l].rng = &rngs[l];
+    tasks[l].draws = &draws[l];
+    tasks[l].active = 0;
+    RoundKernel().advance(tasks[l]);
   }
+}
 
-  /// Stages `lanes` independent tasks over `law` with the given batch and
-  /// runs one advance_batch; returns per-lane (active, draws).
-  void advance_lanes(const PairLaw& law, Interactions batch,
-                     std::vector<Xoshiro256pp>& rngs,
-                     std::vector<RoundTask>& tasks,
-                     std::vector<std::vector<std::int64_t>>& draws) {
-    tasks.resize(rngs.size());
-    draws.resize(rngs.size());
-    std::vector<RoundTask*> staged;
-    for (std::size_t l = 0; l < rngs.size(); ++l) {
-      tasks[l].law = &law;
-      tasks[l].batch = batch;
-      tasks[l].rng = &rngs[l];
-      tasks[l].draws = &draws[l];
-      tasks[l].active = 0;
-      staged.push_back(&tasks[l]);
-    }
-    kernel_->advance_batch(staged);
-  }
-
-  const RoundKernel* kernel_ = nullptr;
-};
-
-TEST_F(Avx2DistributionTest, PairDrawsMatchTheExactLawByChiSquare) {
+TEST(KernelDistributionTest, PairDrawsMatchTheExactLawByChiSquare) {
   const UndecidedStateDynamics usd(3);
   const TransitionTable table(usd);
   PairLaw law;
@@ -94,7 +72,7 @@ TEST_F(Avx2DistributionTest, PairDrawsMatchTheExactLawByChiSquare) {
   // apply the draws), so every round samples the same multinomial law.
   std::vector<std::int64_t> observed(law.size() + 1, 0);
   for (int r = 0; r < kRounds; ++r) {
-    advance_lanes(law, kBatch, rngs, tasks, draws);
+    advance_tasks(law, kBatch, rngs, tasks, draws);
     for (std::size_t l = 0; l < rngs.size(); ++l) {
       std::int64_t sum = 0;
       if (tasks[l].active > 0) {
@@ -127,7 +105,7 @@ TEST_F(Avx2DistributionTest, PairDrawsMatchTheExactLawByChiSquare) {
                      << " dof";
 }
 
-TEST_F(Avx2DistributionTest, NullSplitBinomialMomentsAtExtremeP) {
+TEST(KernelDistributionTest, NullSplitBinomialMomentsAtExtremeP) {
   // One active pair: stage-1 active ~ Binomial(batch, c1·c0 / n(n−1)).
   // Near-epidemic-end counts make p extreme; the large batch drives the
   // sampler through its BTRS branch, the tiny p through inversion.
@@ -158,7 +136,7 @@ TEST_F(Avx2DistributionTest, NullSplitBinomialMomentsAtExtremeP) {
     std::vector<std::vector<std::int64_t>> draws;
     RunningStats stats;
     for (int r = 0; r < kRounds; ++r) {
-      advance_lanes(law, c.batch, rngs, tasks, draws);
+      advance_tasks(law, c.batch, rngs, tasks, draws);
       for (std::size_t l = 0; l < rngs.size(); ++l) {
         ASSERT_GE(tasks[l].active, 0);
         ASSERT_LE(tasks[l].active, c.batch);
@@ -172,55 +150,6 @@ TEST_F(Avx2DistributionTest, NullSplitBinomialMomentsAtExtremeP) {
     EXPECT_NEAR(stats.stddev(), sd, 0.2 * sd)
         << "c0=" << c.c0 << " c1=" << c.c1;
   }
-}
-
-TEST_F(Avx2DistributionTest, LockstepGroupIsDeterministic) {
-  // Same seeds, same group → identical results on repeat (the lane packing
-  // and shared uniform blocks must not leak nondeterminism).
-  const UndecidedStateDynamics usd(3);
-  const TransitionTable table(usd);
-  PairLaw law;
-  law.rebuild(table, Configuration({0, 400, 350, 250}));
-
-  auto run_once = [&]() {
-    std::vector<Xoshiro256pp> rngs;
-    for (int l = 0; l < 4; ++l) rngs.emplace_back(555 + l);
-    std::vector<RoundTask> tasks;
-    std::vector<std::vector<std::int64_t>> draws;
-    std::vector<std::int64_t> trace;
-    for (int r = 0; r < 50; ++r) {
-      advance_lanes(law, 300, rngs, tasks, draws);
-      for (std::size_t l = 0; l < rngs.size(); ++l) {
-        trace.push_back(tasks[l].active);
-        for (const std::int64_t d : draws[l]) trace.push_back(d);
-      }
-    }
-    return trace;
-  };
-  EXPECT_EQ(run_once(), run_once());
-}
-
-TEST_F(Avx2DistributionTest, StabilizationTimesMatchScalarByKS) {
-  const UndecidedStateDynamics usd(3);
-  constexpr int kTrials = 100;
-  auto sample = [&](KernelKind kind) {
-    std::vector<double> times;
-    for (int t = 0; t < kTrials; ++t) {
-      CollapsedSimulator::Options opts;
-      opts.kernel = kind;
-      CollapsedSimulator sim(usd, Configuration({0, 40, 25, 15}),
-                             7000 + static_cast<std::uint64_t>(t), opts);
-      const RunOutcome out = sim.run_until_stable(50'000'000);
-      EXPECT_TRUE(out.stabilized);
-      times.push_back(sim.parallel_time());
-    }
-    return times;
-  };
-  const double d = testutil::ks_distance(sample(KernelKind::kAvx2),
-                                         sample(KernelKind::kScalar));
-  // Two-sample KS critical value at α = 0.001 for 100 vs 100 samples:
-  // 1.949·sqrt(2/100) ≈ 0.276.
-  EXPECT_LT(d, testutil::ks_two_sample_critical(kTrials, kTrials));
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Shared distribution-test helpers for the statistical pins: chi-square
 // goodness-of-fit p-values (wrapping util/stats chi_square_statistic /
 // chi_square_sf with the conventional buckets−1 degrees of freedom) and the
-// two-sample Kolmogorov–Smirnov distance. Factored out of
-// kernel_distribution_test and faults_test so scenario_test pins the
-// adversary's target-selection law and churn's population accounting with
-// the exact same machinery.
+// two-sample Kolmogorov–Smirnov distance, so faults_test, scenario_test and
+// collapsed_simulator_test pin their laws with the exact same machinery.
 #pragma once
 
 #include <algorithm>
@@ -51,15 +49,6 @@ inline double ks_distance(std::vector<double> a, std::vector<double> b) {
                              static_cast<double>(ib) / nb));
   }
   return d;
-}
-
-/// Two-sample KS critical distance c(α)·sqrt((na+nb)/(na·nb)); c(0.001) ≈
-/// 1.949 — the constant used by the kernel-distribution pins.
-inline double ks_two_sample_critical(std::size_t na, std::size_t nb,
-                                     double c_alpha = 1.949) {
-  const double a = static_cast<double>(na);
-  const double b = static_cast<double>(nb);
-  return c_alpha * std::sqrt((a + b) / (a * b));
 }
 
 }  // namespace ppsim::testutil

@@ -84,7 +84,6 @@ std::string offline_report(std::uint64_t seed, std::size_t trials) {
   spec.trials = trials;
   spec.base_seed = seed;
   spec.threads = 2;
-  spec.kernel = kernels::KernelKind::kScalar;
   const InitialConfig init = adversarial_configuration(kN, kK, bias);
   const auto budget =
       static_cast<Interactions>(kMaxParallel * static_cast<double>(kN));
@@ -184,7 +183,6 @@ TEST(SweepServiceTest, EngineOverrideMirrorsTheGenericFacade) {
   spec.trials = 2;
   spec.base_seed = 5;
   spec.threads = 2;
-  spec.kernel = kernels::KernelKind::kScalar;
   const UndecidedStateDynamics usd(kK);
   const InitialConfig init = adversarial_configuration(kN, kK, bias);
   const Configuration initial =
@@ -194,11 +192,8 @@ TEST(SweepServiceTest, EngineOverrideMirrorsTheGenericFacade) {
   const std::string offline =
       SweepRunner(spec)
           .run([&](const SweepTrial& ctx) {
-            const kernels::KernelKind kernel =
-                ctx.cell.kernel.value_or(kernels::KernelKind::kScalar);
             Engine engine(ctx.cell.engine, usd, initial, ctx.seed,
-                          {.round_divisor = ctx.cell.round_divisor,
-                           .kernel = kernel});
+                          {.round_divisor = ctx.cell.round_divisor});
             return consensus_metrics(run_engine_trial(engine, budget));
           })
           .to_json();
@@ -236,7 +231,6 @@ TEST(SweepServiceTest, ScenarioFieldsRoundTripMatchingTheOfflineRunner) {
   spec.trials = 2;
   spec.base_seed = 7;
   spec.threads = 2;
-  spec.kernel = kernels::KernelKind::kScalar;
   const InitialConfig init = adversarial_configuration(kN, kK, bias);
   const auto budget =
       static_cast<Interactions>(kMaxParallel * static_cast<double>(kN));
@@ -317,6 +311,45 @@ TEST(SweepServiceTest, InvalidRequestsAreRejectedBeforeAnyWork) {
   reject(R"({"type": "submit", "adversary": 0.3, "engine": "collapsed"})");
   EXPECT_EQ(service.counters().jobs_completed, 0u);
   EXPECT_EQ(service.counters().trials_executed, 0u);
+}
+
+TEST(SweepServiceTest, KernelFieldAcceptsScalarOrAutoAndRejectsOthers) {
+  SweepService service({.cache_memory = 16, .cache_dir = ""});
+  const auto with_kernel = [](const std::string& kernel) {
+    return JsonValue::parse(
+        R"({"type": "submit", "n": 300, "k": 2, "engine": "collapsed",)"
+        R"( "trials": 2, "seed": 9, "threads": 2, "kernel": ")" +
+        kernel + R"("})");
+  };
+  const JsonValue absent = JsonValue::parse(
+      R"({"type": "submit", "n": 300, "k": 2, "engine": "collapsed",)"
+      R"( "trials": 2, "seed": 9, "threads": 2})");
+  const std::string cold = report_of(run_collect(service, absent));
+  EXPECT_NE(cold.find("\"kernel\": \"scalar\""), std::string::npos);
+  // "scalar" and "auto" are the same request as no field at all: the same
+  // report, served from the cell the first submit cached.
+  for (const std::string kernel : {"scalar", "auto"}) {
+    const std::vector<std::string> lines =
+        run_collect(service, with_kernel(kernel));
+    EXPECT_EQ(report_of(lines), cold) << kernel;
+    EXPECT_TRUE(JsonValue::parse(lines[0]).at("cached").as_bool()) << kernel;
+  }
+  EXPECT_EQ(service.counters().trials_executed, 2u);
+  // Any other kernel, avx2 included, is a client error before any work.
+  for (const std::string kernel : {"avx2", "sse9", ""}) {
+    try {
+      service.run_job(with_kernel(kernel),
+                      [](const std::string&) { return true; });
+      ADD_FAILURE() << "kernel '" << kernel << "' was accepted";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("'kernel'"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(service.counters().jobs_completed, 3u);
+  EXPECT_EQ(service.counters().trials_executed, 2u);
+  // The service keeps serving after the rejections.
+  EXPECT_EQ(report_of(run_collect(service, absent)), cold);
 }
 
 TEST(SweepServiceTest, AVanishedClientCancelsItsJob) {
@@ -471,7 +504,8 @@ TEST(SweepServerTest, MalformedLinesAnswerErrorsAndKeepTheConnection) {
     LineChannel channel = connect_with_retry(config.socket_path);
     for (const std::string& bad :
          {std::string("this is not json"), std::string(R"({"no":"type"})"),
-          std::string(R"({"type":"warp"})")}) {
+          std::string(R"({"type":"warp"})"),
+          std::string(R"({"type":"submit","kernel":"avx2"})")}) {
       const std::vector<std::string> lines = roundtrip(channel, bad);
       ASSERT_EQ(lines.size(), 1u) << bad;
       EXPECT_EQ(JsonValue::parse(lines[0]).at("type").as_string(), "error");
