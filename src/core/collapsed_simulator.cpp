@@ -84,8 +84,9 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
   if (batch == 1 && fixed_round_ == 0) {
     // Exact single-draw path, adaptive policy only (fixed rounds keep the
     // kernel's draw sequence at every size): Bernoulli(active/total)
-    // selects "some non-null pair", then the alias table picks which one —
-    // the product law is exactly w(a,b)/n(n−1). Null draws leave the counts
+    // selects "some non-null pair", then the alias table picks its class —
+    // the product law is exactly the class weight / n(n−1), and every
+    // member of a class moves the same agents. Null draws leave the counts
     // (and therefore the alias table) untouched, so the O(S²) rebuild
     // amortizes over them.
     if (rng_.bernoulli(law_.active_weight() / law_.total_weight())) {
@@ -141,7 +142,7 @@ Interactions CollapsedSimulator::step_round(Interactions max_interactions) {
   // Identical-distribution batch rounds go stage → kernel → commit: all
   // `batch` draws see the start-of-round counts; the kernel splits off the
   // null interactions with one binomial and distributes the rest over the
-  // active pairs with an exact multinomial (grouping a multinomial's
+  // active pair classes with an exact multinomial (grouping a multinomial's
   // buckets and splitting afterwards preserves the law).
   kernels::RoundTask task;
   if (stage_round(max_interactions, task)) {

@@ -14,17 +14,20 @@
 //   * A round of B interactions draws all B pairs from the start-of-round
 //     counts: one binomial splits off the null interactions (f leaves both
 //     states unchanged), one exact multinomial distributes the rest over the
-//     active pairs, and each pair's m interactions move m agents in bulk
-//     through the TransitionTable. Grouping a multinomial's buckets and
-//     splitting the group afterwards is exact, so the two-stage draw has the
-//     same law as one multinomial over all S² pairs.
+//     active pair classes of kernels::PairLaw, and each class's m
+//     interactions move m agents in bulk through the TransitionTable. A
+//     class is an ordered pair, or (a, b) and (b, a) together when f(b, a)
+//     mirrors f(a, b) (every USD pair), since both then move the same
+//     agents. Grouping a multinomial's buckets and splitting the group
+//     afterwards is exact, so the two-stage draw over classes has the same
+//     law as one multinomial over all S² ordered pairs.
 //
 // Two round-length policies share that round:
 //   * adaptive (Options::round_divisor = 0, EngineKind::kCollapsed): the τ
 //     controller (choose_tau) picks each round's length, and size-1 rounds
 //     take an exact single-draw path — Bernoulli(active/total), then a
-//     Walker/Vose AliasTable over the active pairs, rebuilt lazily only when
-//     a count actually moved;
+//     Walker/Vose AliasTable over the active classes, rebuilt lazily only
+//     when a count actually moved;
 //   * fixed (round_divisor > 0, EngineKind::kBatched): every round is
 //     max(1, n/round_divisor) interactions, n taken at construction, capped
 //     by the budget. Every round goes through the kernel, size-1 rounds

@@ -55,8 +55,9 @@ inline constexpr std::uint64_t kTrajectoryFormatVersion = 1;
 /// that affects archived bytes. Cell-cache keys embed it too, and
 /// io::resume_run refuses an archive stamped by another version.
 /// ppsim-0.9: the repo-owned binomial sampler replaced the standard
-/// library's.
-inline constexpr std::string_view kBuildVersion = "ppsim-0.9";
+/// library's. ppsim-0.10: the pair law merges mirrored pairs into one
+/// multinomial bucket, which changes the collapsed engine's draws.
+inline constexpr std::string_view kBuildVersion = "ppsim-0.10";
 
 struct TrajectoryHeader {
   std::string engine;                  ///< to_string(EngineKind)

@@ -1,18 +1,27 @@
-// The exact ordered-pair interaction law of a counts-space configuration —
-// the shared substrate of every round kernel.
+// The exact interaction law of a counts-space configuration, grouped into
+// active interaction classes — the shared substrate of every round kernel.
 //
 // Under the uniform scheduler one interaction picks an ordered pair of
 // distinct agents, i.e. ordered state pair (a, b) with probability
 // w(a,b) / n(n−1), where w(a,b) = c_a·c_b for a ≠ b and w(a,a) = c_a·(c_a−1)
-// (an agent never interacts with itself). Both round engines need the same
+// (an agent never interacts with itself). Both round policies need the same
 // derived data from that law each round: the enumeration of *active*
-// (non-null) pairs with their weights and transitions, the active/total
+// (non-null) classes with their weights and transitions, the active/total
 // weight split for the null binomial, the per-state consumption rates the
 // collapsed engine's τ controller integrates, and — on the exact single-draw
-// path — a Walker/Vose alias table over the active weights. Before the
-// kernels layer existed this enumeration was written twice (collapsed and
-// batched engines, verbatim); PairLaw is the single copy both build on and
-// the structure a RoundKernel consumes.
+// path — a Walker/Vose alias table over the class weights.
+//
+// A class is one ordered pair, except where f(b,a) is the mirror of f(a,b)
+// (and the interaction refills neither side it drains, see pair_law.cpp):
+// then (a, b) and (b, a) move the same agents to the same states, and they
+// form one class listed as (min, max) with weight w(a,b) + w(b,a) = 2·c_a·c_b.
+// Merging multinomial buckets keeps the round's law exact, and apply_one's
+// clamp on the merged count equals the two ordered members applied in turn.
+// Every USD clash and adoption pair merges, so the law at k opinions has
+// about half the entries of the ordered one (528 instead of 1056 at k = 32);
+// diagonal and non-mirrored pairs stay one entry each. active_weight(),
+// total_weight() and consumption() are summed over ordered pairs in a fixed
+// order, so they do not depend on the grouping.
 //
 // Cache discipline: rebuild() bumps a generation counter, and the lazily
 // built alias table records the generation it was built for — so alias
@@ -35,28 +44,31 @@ namespace ppsim::kernels {
 
 class PairLaw {
  public:
-  /// Recomputes the active-pair enumeration from the live counts. O(S²).
+  /// Recomputes the active-class enumeration from the live counts. O(S²).
   /// Bumps generation(); the alias table is invalidated implicitly.
   void rebuild(const TransitionTable& table, const Configuration& config);
 
-  /// True when no active pair exists (the configuration is stable: every
+  /// True when no active class exists (the configuration is stable: every
   /// interaction is null).
   bool empty() const noexcept { return weight_.empty(); }
   std::size_t size() const noexcept { return weight_.size(); }
 
+  /// Class i's representative pair ((min, max) for a merged class), its
+  /// transition f(a(i), b(i)) and its weight (the sum over its members).
   State a(std::size_t i) const noexcept { return a_[i]; }
   State b(std::size_t i) const noexcept { return b_[i]; }
   const Transition& transition(std::size_t i) const noexcept { return t_[i]; }
   double weight(std::size_t i) const noexcept { return weight_[i]; }
   const std::vector<double>& weights() const noexcept { return weight_; }
 
-  /// Σ w over the active pairs / over all n(n−1) ordered pairs. The ratio is
-  /// the per-interaction probability of a non-null draw.
+  /// Σ w over the active ordered pairs / over all n(n−1) ordered pairs. The
+  /// ratio is the per-interaction probability of a non-null draw.
   double active_weight() const noexcept { return active_weight_; }
   double total_weight() const noexcept { return total_weight_; }
 
-  /// Per-state Σ w_i · (agents of s removed by pair i): the expected removal
-  /// weight the collapsed engine's τ controller bounds against ε·c_s.
+  /// Per-state Σ w · (agents of s removed by the pair) over the active
+  /// ordered pairs: the expected removal weight the collapsed engine's τ
+  /// controller bounds against ε·c_s.
   double consumption(std::size_t s) const noexcept { return consumption_[s]; }
   std::size_t num_states() const noexcept { return consumption_.size(); }
 
@@ -87,16 +99,16 @@ struct ApplyResult {
   bool moved = false;        ///< any count changed (law is now stale)
 };
 
-/// Applies m interactions of active pair i with the engines' shared overdraw
+/// Applies m interactions of active class i with the engines' shared overdraw
 /// clamp: bulk moves are limited to the live counts so Configuration's
 /// invariants (non-negative counts, constant population) hold
-/// unconditionally even when earlier pairs in the round drained a state
+/// unconditionally even when earlier classes in the round drained a state
 /// below what the start-of-round weights promised.
 ApplyResult apply_one(const PairLaw& law, Configuration& config, std::size_t i,
                       Interactions m);
 
-/// Applies a whole round's multinomial draws (draws[i] interactions of pair
-/// i, in pair order) through apply_one, accumulating the clamp count.
+/// Applies a whole round's multinomial draws (draws[i] interactions of class
+/// i, in class order) through apply_one, accumulating the clamp count.
 ApplyResult apply_draws(const PairLaw& law, Configuration& config,
                         const std::vector<std::int64_t>& draws);
 

@@ -4,13 +4,15 @@
 // draws against the frozen start-of-round PairLaw:
 //
 //   active ~ Binomial(batch, active_weight / total_weight)   // null split
-//   draws  ~ Multinomial(active, pair weights)               // pair split
+//   draws  ~ Multinomial(active, class weights)              // class split
 //
 // That sampling step — not the O(S²) law rebuild or the count updates — is
 // the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell), and it
 // is what RoundKernel::advance implements: one binomial() draw for the null
-// split, then the conditional-binomial multinomial chain (multinomial_into),
-// both on util/random_variates' own sampler — so the draw sequence does not
+// split, then the conditional-binomial multinomial chain (multinomial_into)
+// over PairLaw's classes — one binomial per class, so merging each mirrored
+// pair into one class halves the chain for USD — both on
+// util/random_variates' own sampler, so the draw sequence does not
 // depend on which standard library built it. tests/engine_equivalence_test
 // .cpp pins golden trajectories against it, and
 // tests/kernel_distribution_test.cpp checks its output law.

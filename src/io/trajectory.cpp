@@ -419,9 +419,10 @@ TrajectoryWriter::Resumed TrajectoryWriter::resume(const std::string& path,
     return resumed;
   }
   // Another build may draw differently from the same checkpointed RNG state
-  // (the binomial sampler changed at ppsim-0.9); splicing its prefix onto
-  // this build's continuation would match neither build's uninterrupted
-  // run. Refuse before the truncation touches the file.
+  // (the binomial sampler changed at ppsim-0.9, the pair law's buckets at
+  // ppsim-0.10); splicing its prefix onto this build's continuation would
+  // match neither build's uninterrupted run. Refuse before the truncation
+  // touches the file.
   PPSIM_CHECK(resumed.header.build_version == kBuildVersion,
               "cannot resume " + path + ": it was written by " +
                   resumed.header.build_version + " but this build is " +

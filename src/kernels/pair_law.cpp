@@ -6,6 +6,26 @@
 
 namespace ppsim::kernels {
 
+namespace {
+
+/// True when (a, b) and (b, a), a ≠ b, form one interaction class: f(b, a)
+/// is the mirror of t = f(a, b), so either order moves the same agents to the
+/// same states, and no side the interaction drains is also refilled by it.
+/// The second condition makes apply_one's clamp on the merged count equal
+/// the two ordered clamps applied one after the other, for any split.
+bool merges_with_mirror(const TransitionTable& table, State a, State b,
+                        const Transition& t) {
+  const Transition mirror = table.apply(b, a);
+  if (mirror.initiator != t.responder || mirror.responder != t.initiator) {
+    return false;
+  }
+  if (t.initiator != a && t.responder == a) return false;
+  if (t.responder != b && t.initiator == b) return false;
+  return true;
+}
+
+}  // namespace
+
 void PairLaw::rebuild(const TransitionTable& table, const Configuration& config) {
   const auto n = static_cast<double>(config.population());
   total_weight_ = n * (n - 1.0);
@@ -26,16 +46,24 @@ void PairLaw::rebuild(const TransitionTable& table, const Configuration& config)
       const double w = static_cast<double>(counts[a]) *
                        static_cast<double>(a == b ? counts[b] - 1 : counts[b]);
       const Transition t = table.apply(a, b);
-      a_.push_back(a);
-      b_.push_back(b);
-      t_.push_back(t);
-      weight_.push_back(w);
+      // The sums run over ordered pairs in one fixed order whether or not a
+      // pair merges, so they (and the τ they feed) do not depend on the
+      // grouping.
       active_weight_ += w;
       // One interaction on (a, b) removes an agent from each side whose
       // state actually changes — exactly what apply_one will move, so the
       // collapsed engine's τ drain bound matches the clamp's exposure.
       if (t.initiator != a) consumption_[a] += w;
       if (t.responder != b) consumption_[b] += w;
+      double entry = w;
+      if (a != b && merges_with_mirror(table, a, b, t)) {
+        if (b < a) continue;  // listed as (b, a), its class representative
+        entry = w + w;        // w(a,b) + w(b,a) = 2·c_a·c_b, exact
+      }
+      a_.push_back(a);
+      b_.push_back(b);
+      t_.push_back(t);
+      weight_.push_back(entry);
     }
   }
   ++generation_;
@@ -57,8 +85,8 @@ ApplyResult apply_one(const PairLaw& law, Configuration& config, std::size_t i,
   const State b = law.b(i);
   const Transition& t = law.transition(i);
   const Interactions drawn = m;
-  // Clamp to the live counts: earlier pairs in this round may have drained a
-  // state below what the start-of-round weights promised. Every clamp keeps
+  // Clamp to the live counts: earlier classes in this round may have drained
+  // a state below what the start-of-round weights promised. Every clamp keeps
   // the bulk result inside the sequential chain's reachable set: each (a, a)
   // interaction needs two live a-agents, so with one leaver at most count-1
   // interactions can fire (never draining the state), and with two leavers

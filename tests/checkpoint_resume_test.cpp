@@ -199,7 +199,8 @@ TEST(ArchiveResumeTest, ResumeRejectsArchiveFromAnotherBuildVersion) {
   const auto payload = bytes.begin() + static_cast<std::ptrdiff_t>(
                                            magic + 1 + frame.pos());
   const std::string ours(io::kBuildVersion);
-  const std::string foreign = "ppsim-0.0";
+  std::string foreign = ours;  // same length, last character changed
+  foreign.back() = foreign.back() == '0' ? '1' : '0';
   ASSERT_EQ(foreign.size(), ours.size());
   const auto at = std::search(payload, payload + static_cast<std::ptrdiff_t>(length),
                               ours.begin(), ours.end());

@@ -1,15 +1,19 @@
 // Distributional validation of the round kernel against the exact
 // two-stage law it realises. The golden pins in engine_equivalence_test fix
-// its draw sequence; these gates check its output law, two ways:
-//   1. chi-square of accumulated pair draws (including the null bucket)
+// its draw sequence; these gates check its output law, three ways:
+//   1. chi-square of accumulated class draws (including the null bucket)
 //      against the exact start-of-round law;
-//   2. moments of the stage-1 null-split binomial at extreme p, including
+//   2. the same at k = 4 against the ordered-pair law enumerated
+//      independently of PairLaw (ordered_pair_law.hpp), so a wrong merged
+//      class weight cannot hide in its own expectation;
+//   3. moments of the stage-1 null-split binomial at extreme p, including
 //      paper-scale batch sizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "ordered_pair_law.hpp"
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
@@ -99,6 +103,60 @@ TEST(KernelDistributionTest, PairDrawsMatchTheExactLawByChiSquare) {
   expected.back() =
       total * (1.0 - law.active_weight() / law.total_weight());
 
+  const double stat = chi_square_statistic(observed, expected);
+  const double p = chi_square_sf(stat, static_cast<int>(law.size()));
+  EXPECT_GT(p, 1e-4) << "chi-square " << stat << " on " << law.size()
+                     << " dof";
+}
+
+TEST(KernelDistributionTest, MergedClassDrawsMatchTheOrderedLawByChiSquare) {
+  // k = 4 with undecided agents, so both clash and adoption classes merge.
+  // Class i's expected share comes from the ordered enumeration (every
+  // ordered pair the class carries), never from law.weight(i).
+  const UndecidedStateDynamics usd(4);
+  const TransitionTable table(usd);
+  const Configuration config({12, 40, 30, 25, 18});
+  PairLaw law;
+  law.rebuild(table, config);
+  ASSERT_FALSE(law.empty());
+
+  const auto n = static_cast<double>(config.population());
+  std::vector<double> ordered_share(law.size() + 1, 0.0);
+  double active = 0.0;
+  for (const testutil::OrderedPair& p :
+       testutil::ordered_active_pairs(table, config)) {
+    const std::size_t i = testutil::class_of(law, p.a, p.b);
+    ASSERT_LT(i, law.size());
+    ordered_share[i] += p.weight / (n * (n - 1.0));
+    active += p.weight;
+  }
+  ordered_share.back() = 1.0 - active / (n * (n - 1.0));
+
+  constexpr Interactions kBatch = 500;
+  constexpr int kRounds = 400;
+  std::vector<Xoshiro256pp> rngs;
+  for (int l = 0; l < 4; ++l) rngs.emplace_back(1900 + l);
+  std::vector<RoundTask> tasks;
+  std::vector<std::vector<std::int64_t>> draws;
+  std::vector<std::int64_t> observed(law.size() + 1, 0);
+  for (int r = 0; r < kRounds; ++r) {
+    advance_tasks(law, kBatch, rngs, tasks, draws);
+    for (std::size_t l = 0; l < rngs.size(); ++l) {
+      if (tasks[l].active > 0) {
+        for (std::size_t i = 0; i < law.size(); ++i) {
+          observed[i] += draws[l][i];
+        }
+      }
+      observed.back() += kBatch - tasks[l].active;
+    }
+  }
+
+  const double total =
+      static_cast<double>(kBatch) * kRounds * static_cast<double>(rngs.size());
+  std::vector<double> expected(ordered_share.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = total * ordered_share[i];
+  }
   const double stat = chi_square_statistic(observed, expected);
   const double p = chi_square_sf(stat, static_cast<int>(law.size()));
   EXPECT_GT(p, 1e-4) << "chi-square " << stat << " on " << law.size()
