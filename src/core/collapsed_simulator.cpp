@@ -86,12 +86,19 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
     // kernel's draw sequence at every size): Bernoulli(active/total)
     // selects "some non-null pair", then the alias table picks its class —
     // the product law is exactly the class weight / n(n−1), and every
-    // member of a class moves the same agents. Null draws leave the counts
-    // (and therefore the alias table) untouched, so the O(S²) rebuild
+    // member of a class moves the same agents. The block's one clash is the
+    // involvement chain with one pair, which is exact too. Null draws leave
+    // the counts (and therefore the alias table) untouched, so the rebuild
     // amortizes over them.
     if (rng_.bernoulli(law_.active_weight() / law_.total_weight())) {
-      const kernels::ApplyResult applied =
-          kernels::apply_one(law_, config_, law_.alias().sample(rng_), 1);
+      const std::size_t i = law_.alias().sample(rng_);
+      kernels::ApplyResult applied;
+      if (i == law_.block()) {
+        kernels::sample_involvement(law_, rng_, 1, involvement_);
+        applied = kernels::apply_block(law_, config_, involvement_);
+      } else {
+        applied = kernels::apply_one(law_, config_, i, 1);
+      }
       clamped_ = sat_add(clamped_, applied.clamped);
       if (applied.moved) touch_counts();
     }
@@ -102,6 +109,7 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
   task.batch = batch;
   task.rng = &rng_;
   task.draws = &draws_;
+  task.involvement = &involvement_;
   task.active = 0;
   return true;
 }
@@ -109,7 +117,7 @@ bool CollapsedSimulator::stage_round(Interactions max_interactions,
 void CollapsedSimulator::commit_round(const kernels::RoundTask& task) {
   if (task.active == 0) return;
   const kernels::ApplyResult applied =
-      kernels::apply_draws(law_, config_, *task.draws);
+      kernels::apply_draws(law_, config_, *task.draws, *task.involvement);
   clamped_ = sat_add(clamped_, applied.clamped);
   if (applied.moved) touch_counts();
 }
@@ -141,9 +149,10 @@ Interactions CollapsedSimulator::step_round(Interactions max_interactions) {
   if (max_interactions == 0) return 0;
   // Identical-distribution batch rounds go stage → kernel → commit: all
   // `batch` draws see the start-of-round counts; the kernel splits off the
-  // null interactions with one binomial and distributes the rest over the
+  // null interactions with one binomial, distributes the rest over the
   // active pair classes with an exact multinomial (grouping a multinomial's
-  // buckets and splitting afterwards preserves the law).
+  // buckets and splitting afterwards preserves the law), and spreads the
+  // block's clashes over its members with the exact involvement chain.
   kernels::RoundTask task;
   if (stage_round(max_interactions, task)) {
     kKernel.advance(task);

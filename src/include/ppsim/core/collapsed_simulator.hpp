@@ -16,18 +16,22 @@
 //     states unchanged), one exact multinomial distributes the rest over the
 //     active pair classes of kernels::PairLaw, and each class's m
 //     interactions move m agents in bulk through the TransitionTable. A
-//     class is an ordered pair, or (a, b) and (b, a) together when f(b, a)
-//     mirrors f(a, b) (every USD pair), since both then move the same
-//     agents. Grouping a multinomial's buckets and splitting the group
-//     afterwards is exact, so the two-stage draw over classes has the same
-//     law as one multinomial over all S² ordered pairs.
+//     class is an ordered pair, (a, b) and (b, a) together when f(b, a)
+//     mirrors f(a, b) (every USD adoption pair), or a whole block of states
+//     whose off-diagonal pairs all map to one (g, g) (the USD clashes). The
+//     block's clashes are spread over its members by an exact O(|X|)
+//     involvement chain, and each member's endpoints move to g. Grouping a
+//     multinomial's buckets and splitting the group afterwards is exact, so
+//     the staged draw has the same law as one multinomial over all S²
+//     ordered pairs; for USD a round costs O(k), not O(k²).
 //
 // Two round-length policies share that round:
 //   * adaptive (Options::round_divisor = 0, EngineKind::kCollapsed): the τ
 //     controller (choose_tau) picks each round's length, and size-1 rounds
 //     take an exact single-draw path — Bernoulli(active/total), then a
 //     Walker/Vose AliasTable over the active classes, rebuilt lazily only
-//     when a count actually moved;
+//     when a count actually moved (a draw on the block runs the involvement
+//     chain for one clash);
 //   * fixed (round_divisor > 0, EngineKind::kBatched): every round is
 //     max(1, n/round_divisor) interactions, n taken at construction, capped
 //     by the budget. Every round goes through the kernel, size-1 rounds
@@ -193,7 +197,8 @@ class CollapsedSimulator {
   /// the pair law (and transitively its alias table) rebuilds iff the
   /// counts generation moved since it was last built.
   void touch_counts() noexcept { ++counts_generation_; }
-  /// Rebuilds the pair law if a count changed since the last build. O(S²).
+  /// Rebuilds the pair law if a count changed since the last build: O(k) for
+  /// USD (kernels/pair_law.hpp).
   void refresh_law();
   /// Adaptive round length: min over the drift bounds, clamped to
   /// [1, budget] and options_.max_round. Requires a fresh law.
@@ -217,6 +222,7 @@ class CollapsedSimulator {
   std::uint64_t counts_generation_ = 1;
   std::uint64_t law_generation_ = 0;  ///< counts generation law_ was built at
   std::vector<std::int64_t> draws_;   ///< kernel scratch (multinomial output)
+  std::vector<std::int64_t> involvement_;  ///< kernel scratch (block chain)
 };
 
 }  // namespace ppsim

@@ -57,7 +57,9 @@ inline constexpr std::uint64_t kTrajectoryFormatVersion = 1;
 /// ppsim-0.9: the repo-owned binomial sampler replaced the standard
 /// library's. ppsim-0.10: the pair law merges mirrored pairs into one
 /// multinomial bucket, which changes the collapsed engine's draws.
-inline constexpr std::string_view kBuildVersion = "ppsim-0.10";
+/// ppsim-0.11: the USD clashes form one block bucket whose involvement
+/// chain replaces the per-pair clash classes, a second change to the draws.
+inline constexpr std::string_view kBuildVersion = "ppsim-0.11";
 
 struct TrajectoryHeader {
   std::string engine;                  ///< to_string(EngineKind)

@@ -1,21 +1,23 @@
 // The round-sampling kernel of the counts-space engines.
 //
-// One simulated round of the collapsed engine (both round policies) is two
+// One simulated round of the collapsed engine (both round policies) is three
 // draws against the frozen start-of-round PairLaw:
 //
-//   active ~ Binomial(batch, active_weight / total_weight)   // null split
-//   draws  ~ Multinomial(active, class weights)              // class split
+//   active      ~ Binomial(batch, active_weight / total_weight)  // null split
+//   draws       ~ Multinomial(active, class weights)             // class split
+//   involvement ~ the block's chain, given draws[block] clashes  // endpoints
 //
-// That sampling step — not the O(S²) law rebuild or the count updates — is
-// the hot path at paper scale (n ≥ 10⁹, many trials per sweep cell), and it
-// is what RoundKernel::advance implements: one binomial() draw for the null
-// split, then the conditional-binomial multinomial chain (multinomial_into)
-// over PairLaw's classes — one binomial per class, so merging each mirrored
-// pair into one class halves the chain for USD — both on
-// util/random_variates' own sampler, so the draw sequence does not
-// depend on which standard library built it. tests/engine_equivalence_test
-// .cpp pins golden trajectories against it, and
-// tests/kernel_distribution_test.cpp checks its output law.
+// That sampling step is the hot path at paper scale (n ≥ 10⁹, many trials
+// per sweep cell), and it is what RoundKernel::advance implements: one
+// binomial() draw for the null split, the conditional-binomial multinomial
+// chain (multinomial_into) over PairLaw's classes — one binomial per class —
+// and, when the law has a block, sample_involvement's two binomials per live
+// block member. For USD at k opinions that is about 3k binomials (k + 1
+// classes, then the chain over the opinions), all on util/random_variates'
+// own sampler, so the draw sequence does not depend on which standard
+// library built it. tests/engine_equivalence_test.cpp pins golden
+// trajectories against it, and tests/kernel_distribution_test.cpp checks its
+// output law.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +43,16 @@ std::string to_string(KernelKind kind);
 constexpr KernelKind auto_kind() noexcept { return KernelKind::kScalar; }
 
 /// One staged round: the kernel reads (law, batch, rng) and writes (active,
-/// draws). `draws` is engine-owned scratch resized by the kernel to
-/// law->size(); it is filled only when active > 0.
+/// draws, involvement). `draws` and `involvement` are engine-owned scratch
+/// the kernel resizes to law->size() and law->block_steps().size(); both are
+/// filled only when active > 0, and `involvement` is required only when the
+/// law has a block.
 struct RoundTask {
   const PairLaw* law = nullptr;
   Interactions batch = 0;
   Xoshiro256pp* rng = nullptr;
   std::vector<std::int64_t>* draws = nullptr;
+  std::vector<std::int64_t>* involvement = nullptr;
   Interactions active = 0;  ///< out: non-null interactions this round
 };
 
@@ -55,7 +60,7 @@ class RoundKernel {
  public:
   KernelKind kind() const noexcept { return KernelKind::kScalar; }
 
-  /// Samples one round into task.active / *task.draws.
+  /// Samples one round into task.active / *task.draws / *task.involvement.
   void advance(RoundTask& task) const;
 };
 

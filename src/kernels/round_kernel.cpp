@@ -1,5 +1,6 @@
 #include "ppsim/kernels/round_kernel.hpp"
 
+#include "ppsim/util/check.hpp"
 #include "ppsim/util/random_variates.hpp"
 
 namespace ppsim::kernels {
@@ -18,6 +19,12 @@ void RoundKernel::advance(RoundTask& task) const {
                          law.active_weight() / law.total_weight());
   if (task.active > 0) {
     multinomial_into(*task.rng, task.active, law.weights(), *task.draws);
+    if (law.has_block()) {
+      PPSIM_CHECK(task.involvement != nullptr,
+                  "a law with a block needs involvement scratch");
+      sample_involvement(law, *task.rng, (*task.draws)[law.block()],
+                         *task.involvement);
+    }
   }
 }
 

@@ -1,13 +1,17 @@
 // The kernels layer's plumbing: the kernel's report name, PairLaw's
 // generation-counter invalidation, its mirror-class grouping (checked against
 // the ordered law in ordered_pair_law.hpp, and apply_one's clamp against the
-// ordered members), and the collapsed engine's staging API
-// (stage_round + kernel().advance + commit_round ≡ step_round).
+// ordered members), its clash block (which protocols form one, and
+// apply_block against the ordered clashes in sequence), and the collapsed
+// engine's staging API (stage_round + kernel().advance + commit_round ≡
+// step_round).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ordered_pair_law.hpp"
@@ -16,6 +20,7 @@
 #include "ppsim/core/transition_table.hpp"
 #include "ppsim/kernels/pair_law.hpp"
 #include "ppsim/kernels/round_kernel.hpp"
+#include "ppsim/protocols/cancel_duplicate.hpp"
 #include "ppsim/protocols/four_state_majority.hpp"
 #include "ppsim/protocols/leader_election.hpp"
 #include "ppsim/protocols/usd.hpp"
@@ -187,19 +192,30 @@ TEST(PairLawTest, WeightsMatchTheOrderedPairCounts) {
 }
 
 TEST(PairLawTest, UsdMergesEveryMirroredPairIntoOneClass) {
-  // k = 4 with undecided agents: 6 clash classes (i, j) and 4 adoption
-  // classes (⊥, i), each listed once as (min, max) with weight 2·c_a·c_b.
+  // k = 4 with undecided agents: 4 adoption classes (⊥, i), each listed once
+  // as (min, max) with weight 2·c_⊥·c_i, then the clash block last, with
+  // weight Σ_{i≠j} c_i·c_j over the 12 ordered clash pairs.
   const UndecidedStateDynamics usd(4);
   const TransitionTable table(usd);
   const std::vector<Count> counts = {12, 40, 30, 25, 18};
   PairLaw law;
   law.rebuild(table, Configuration(counts));
-  ASSERT_EQ(law.size(), 10u);
-  for (std::size_t i = 0; i < law.size(); ++i) {
-    EXPECT_LT(law.a(i), law.b(i));
+  ASSERT_EQ(law.size(), 5u);
+  ASSERT_EQ(law.block(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(law.a(i), 0u);
+    EXPECT_EQ(law.b(i), i + 1);
     EXPECT_EQ(law.weight(i), 2.0 * static_cast<double>(counts[law.a(i)]) *
                                  static_cast<double>(counts[law.b(i)]));
   }
+  double clashes = 0.0;
+  for (State a = 1; a <= 4; ++a) {
+    for (State b = 1; b <= 4; ++b) {
+      if (a != b) clashes += static_cast<double>(counts[a] * counts[b]);
+    }
+  }
+  EXPECT_EQ(law.weight(4), clashes);
+  EXPECT_EQ(law.transition(4), (Transition{0, 0}));
 }
 
 TEST(PairLawTest, AsymmetricPairsStayOrdered) {
@@ -285,6 +301,166 @@ TEST(PairLawTest, MergedClassClampEqualsItsOrderedMembersInSequence) {
     }
   }
   EXPECT_TRUE(clamped_somewhere);
+}
+
+// ---------------------------------------------------------------- block --
+
+TEST(PairLawTest, UsdFormsOneBlockOfItsOpinions) {
+  for (const std::size_t k : {3u, 4u, 9u}) {
+    const UndecidedStateDynamics usd(k);
+    const TransitionTable table(usd);
+    std::vector<Count> counts(k + 1, 5);
+    PairLaw law;
+    law.rebuild(table, Configuration(counts));
+    SCOPED_TRACE(usd.name());
+    EXPECT_FALSE(law.in_block(UndecidedStateDynamics::kUndecided));
+    for (State s = 1; s <= k; ++s) EXPECT_TRUE(law.in_block(s));
+    EXPECT_EQ(law.block_target(), UndecidedStateDynamics::kUndecided);
+    ASSERT_TRUE(law.has_block());
+    EXPECT_EQ(law.size(), k + 1);  // k adoption classes + the block
+    ASSERT_EQ(law.block_steps().size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(law.block_steps()[j].state, j + 1);
+    }
+  }
+  // Two opinions form no block: the single clash pair stays a merged class
+  // (PairLawTest.MergedClassClampEqualsItsOrderedMembersInSequence).
+  const UndecidedStateDynamics usd2(2);
+  const TransitionTable table2(usd2);
+  PairLaw law2;
+  law2.rebuild(table2, Configuration({1, 4, 3}));
+  EXPECT_FALSE(law2.has_block());
+  EXPECT_FALSE(law2.in_block(1));
+  EXPECT_EQ(law2.size(), 3u);
+}
+
+void expect_no_block(const Protocol& protocol, const Configuration& config) {
+  SCOPED_TRACE(protocol.name());
+  const TransitionTable table(protocol);
+  PairLaw law;
+  law.rebuild(table, config);
+  EXPECT_FALSE(law.has_block());
+  EXPECT_EQ(law.block(), law.size());
+  EXPECT_TRUE(law.block_steps().empty());
+  for (State s = 0; s < protocol.num_states(); ++s) {
+    EXPECT_FALSE(law.in_block(s)) << "state " << s;
+  }
+}
+
+TEST(PairLawTest, OtherProtocolsFormNoBlock) {
+  expect_no_block(OneWayAdoption(), Configuration({5, 3, 2}));
+  expect_no_block(Swap(), Configuration({4, 3}));
+  // Duplication sends (token, blank) to (half, half), but blank pairs are
+  // null and each side's cancellation leaves its own blank.
+  const CancellationDuplication cancel(3);
+  expect_no_block(cancel,
+                  Configuration(std::vector<Count>(cancel.num_states(), 3)));
+  expect_no_block(FourStateMajority(), Configuration({4, 3, 2, 1}));
+  expect_no_block(LeaderElection(), Configuration({3, 7}));
+  // Every clash but (3, 4) maps to (⊥, ⊥): the component is not complete.
+  expect_no_block(UsdWithoutPair(4, 3, 4), Configuration({1, 4, 3, 2, 5}));
+}
+
+/// Involvement of the ordered clash pairs `clashes`, indexed like
+/// law.block_steps().
+std::vector<std::int64_t> involvement_of(
+    const PairLaw& law, const std::vector<std::pair<State, State>>& clashes) {
+  std::vector<std::int64_t> involvement(law.block_steps().size(), 0);
+  for (const auto& [a, b] : clashes) {
+    for (std::size_t j = 0; j < involvement.size(); ++j) {
+      const State s = law.block_steps()[j].state;
+      if (s == a || s == b) ++involvement[j];
+    }
+  }
+  return involvement;
+}
+
+TEST(PairLawTest, BlockCommitEqualsOrderedClashesInSequenceWhenNoCapBinds) {
+  // Every sequence of up to three ordered clash pairs, on counts where no
+  // opinion can be asked for more agents than it has. The reference applies
+  // each pair through apply_one on a law with no block: USD on k + 1
+  // opinions with (k, k + 1) made null, so the clash graph is not complete,
+  // and the extra opinion has no agents.
+  constexpr std::size_t kK = 4;
+  const UndecidedStateDynamics usd(kK);
+  const TransitionTable table(usd);
+  const UsdWithoutPair no_block(kK + 1, kK, kK + 1);
+  const TransitionTable ref_table(no_block);
+  for (const std::vector<Count>& counts :
+       {std::vector<Count>{3, 6, 5, 4, 7}, std::vector<Count>{2, 5, 0, 4, 3}}) {
+    const Configuration start(counts);
+    std::vector<Count> ref_counts = counts;
+    ref_counts.push_back(0);
+    const Configuration ref_start(ref_counts);
+    PairLaw law;
+    PairLaw ref_law;
+    law.rebuild(table, start);
+    ref_law.rebuild(ref_table, ref_start);
+    ASSERT_TRUE(law.has_block());
+    ASSERT_FALSE(ref_law.has_block());
+
+    std::vector<std::pair<State, State>> pairs;
+    for (State a = 1; a <= kK; ++a) {
+      for (State b = 1; b <= kK; ++b) {
+        if (a != b && counts[a] > 0 && counts[b] > 0) pairs.emplace_back(a, b);
+      }
+    }
+    std::vector<std::size_t> pick;
+    for (std::size_t m = 1; m <= 3; ++m) {
+      pick.assign(m, 0);
+      while (true) {
+        std::vector<std::pair<State, State>> clashes;
+        Configuration seq = ref_start;
+        Interactions seq_clamped = 0;
+        for (const std::size_t p : pick) {
+          clashes.push_back(pairs[p]);
+          const std::size_t i =
+              testutil::class_of(ref_law, pairs[p].first, pairs[p].second);
+          ASSERT_LT(i, ref_law.size());
+          seq_clamped += apply_one(ref_law, seq, i, 1).clamped;
+        }
+        Configuration block = start;
+        const ApplyResult applied =
+            apply_block(law, block, involvement_of(law, clashes));
+        std::vector<Count> expected = seq.counts();
+        ASSERT_EQ(expected.back(), 0);
+        expected.pop_back();
+        ASSERT_EQ(block.counts(), expected) << "m=" << m;
+        ASSERT_EQ(seq_clamped, 0);
+        ASSERT_EQ(applied.clamped, 0);
+        EXPECT_TRUE(applied.moved);
+        std::size_t d = 0;
+        while (d < m && ++pick[d] == pairs.size()) pick[d++] = 0;
+        if (d == m) break;
+      }
+    }
+  }
+}
+
+TEST(PairLawTest, BlockCapIsPerEndpoint) {
+  // USD k = 3 with one agent each on opinions 1 and 2: the clashes
+  // (1, 2), (1, 3) ask opinion 1 for two agents. The block moves the one it
+  // has, and still moves the 3-endpoint of the clash that lost its partner;
+  // in sequence (1, 3) would not fire at all. One endpoint lost is
+  // clamped = ⌈1/2⌉ = 1.
+  const UndecidedStateDynamics usd(3);
+  const TransitionTable table(usd);
+  const Configuration start({0, 1, 1, 5});
+  PairLaw law;
+  law.rebuild(table, start);
+  ASSERT_TRUE(law.has_block());
+  Configuration config = start;
+  ApplyResult applied =
+      apply_block(law, config, involvement_of(law, {{1, 2}, {1, 3}}));
+  EXPECT_EQ(config.counts(), (std::vector<Count>{3, 0, 0, 4}));
+  EXPECT_EQ(applied.clamped, 1);
+  // (1, 3), (2, 3), (1, 2): two endpoints lost, one clash — here the block
+  // and the sequence agree, counts and clamp alike.
+  config = start;
+  applied = apply_block(law, config,
+                        involvement_of(law, {{1, 3}, {2, 3}, {1, 2}}));
+  EXPECT_EQ(config.counts(), (std::vector<Count>{4, 0, 0, 3}));
+  EXPECT_EQ(applied.clamped, 1);
 }
 
 // ---------------------------------------------------------------- staging --

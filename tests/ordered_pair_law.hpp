@@ -1,6 +1,7 @@
 // Test-side reference for kernels::PairLaw: the uniform scheduler's non-null
 // interaction law enumerated one ordered state pair at a time, straight from
-// the TransitionTable, with none of PairLaw's grouping into mirror classes.
+// the TransitionTable, with none of PairLaw's grouping into mirror classes
+// and the clash block.
 // kernel_dispatch_test checks PairLaw's classes against it and
 // kernel_distribution_test derives its chi-square expectation from it.
 #pragma once
@@ -39,10 +40,11 @@ inline std::vector<OrderedPair> ordered_active_pairs(
   return pairs;
 }
 
-/// The class of `law` that carries ordered pair (a, b): the one listing
-/// (a, b) itself, else the one listing its mirror (b, a) — a merged class.
-/// law.size() if neither is listed.
+/// The class of `law` that carries ordered pair (a, b): the block when a ≠ b
+/// are both block members, else the one listing (a, b) itself, else the one
+/// listing its mirror (b, a) — a merged class. law.size() if none does.
 inline std::size_t class_of(const kernels::PairLaw& law, State a, State b) {
+  if (a != b && law.in_block(a) && law.in_block(b)) return law.block();
   std::size_t mirror = law.size();
   for (std::size_t i = 0; i < law.size(); ++i) {
     if (law.a(i) == a && law.b(i) == b) return i;
