@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <thread>
 
+#include "ppsim/core/task_scheduler.hpp"
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/rng.hpp"
 
@@ -60,23 +63,27 @@ std::vector<TrialResult> run_trials(const TrialFn& trial_fn, std::size_t num_tri
   unsigned threads = num_threads == 0 ? std::thread::hardware_concurrency() : num_threads;
   threads = std::max(1u, std::min<unsigned>(threads, narrow_cast<unsigned>(num_trials)));
 
-  if (threads == 1) {
-    for (std::size_t i = 0; i < num_trials; ++i) results[i] = trial_fn(seeds[i], i);
-    return results;
+  // One scheduler task per trial, each writing only its own slot. Tasks must
+  // not throw: the first exception is captured, later trials are not
+  // started, and it is rethrown once the scheduler has drained.
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  std::atomic<bool> failed{false};
+  TaskScheduler scheduler(threads);
+  for (std::size_t i = 0; i < num_trials; ++i) {
+    scheduler.submit([&, i] {
+      if (failed.load(std::memory_order_acquire)) return;
+      try {
+        results[i] = trial_fn(seeds[i], i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_release);
+      }
+    });
   }
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_trials) return;
-      results[i] = trial_fn(seeds[i], i);
-    }
-  };
-  std::vector<std::jthread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  pool.clear();  // joins
+  scheduler.wait_idle();
+  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

@@ -35,10 +35,10 @@ namespace ppsim::cache {
 
 /// The canonical content address of cell `cell_index` of `spec` as computed
 /// by the trial function identified by `trial_fn_id`. Deliberately EXCLUDES
-/// spec.name, spec.threads, spec.scheduler and cell.name — none of them
-/// influence the cell's trial data (thread/scheduler invariance is pinned by
-/// sweep_test) — and INCLUDES io::kBuildVersion, so a rebuild that could
-/// change numerics starts from a cold cache. `trial_fn_id` must encode
+/// spec.name, spec.threads and cell.name — none of them influence the
+/// cell's trial data (thread-count invariance is pinned by sweep_test) — and
+/// INCLUDES io::kBuildVersion, so a rebuild that could change numerics
+/// starts from a cold cache. `trial_fn_id` must encode
 /// everything the trial closure captures that varies results (e.g. the
 /// service uses "usd/engine/v1;budget=<b>").
 std::string canonical_cell_key(const SweepSpec& spec, std::size_t cell_index,

@@ -2,9 +2,10 @@
 //
 // Experiments in this library are functions (seed, trial_index) -> result.
 // The runner derives independent per-trial seeds from one user-facing base
-// seed (SplitMix64 stream), optionally fans trials out over a thread pool,
-// and aggregates outcomes. Results are bitwise independent of the thread
-// count: trial i always receives the same seed.
+// seed (SplitMix64 stream), fans trials out over the work-stealing
+// TaskScheduler (core/task_scheduler.hpp), and aggregates outcomes. Results
+// are bitwise independent of the thread count: trial i always receives the
+// same seed.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,9 @@ TrialResult run_engine_trial(Engine& engine, Interactions max_interactions,
 using TrialFn = std::function<TrialResult(std::uint64_t seed, std::size_t trial)>;
 
 /// Runs `num_trials` trials. `num_threads == 0` means use the hardware
-/// concurrency (capped by the trial count).
+/// concurrency (capped by the trial count). If a trial throws, trials not yet
+/// started are skipped and the first exception is rethrown after the
+/// in-flight ones finish.
 std::vector<TrialResult> run_trials(const TrialFn& trial_fn, std::size_t num_trials,
                                     std::uint64_t base_seed, unsigned num_threads = 0);
 

@@ -11,9 +11,9 @@
 //   * a work-stealing task scheduler (core/task_scheduler.hpp) fanning
 //     (cell, trial) tasks out over --threads workers — cells complete out of
 //     order, expensive cells start early, and imbalanced grids (n=10^3 cells
-//     next to n=10^11 collapsed cells) no longer convoy behind the
-//     submission order; the previous shared-counter pool survives as
-//     SweepSchedulerKind::kStaticPool, the measured baseline;
+//     next to n=10^11 collapsed cells) do not convoy behind the submission
+//     order; the same scheduler runs run_trials (core/runner.hpp), so it is
+//     the only code that runs trials on threads;
 //   * deterministic per-trial randomness: trial (c, t) always draws from
 //     Xoshiro256pp(base_seed).stream(c * trials + t), an O(1) jump-stream
 //     derivation, so results are bitwise identical at any thread count;
@@ -94,13 +94,6 @@ struct TrialStopping {
   std::string metric = "parallel_time";  ///< metric whose mean is pinned
 };
 
-/// Which execution substrate run() uses. kWorkStealing is the default;
-/// kStaticPool is the pre-scheduler shared-atomic-counter pool, kept as the
-/// measured baseline (bench_throughput --mixed-grid) and as a differential
-/// determinism oracle. The static pool cannot express dynamic work, so it
-/// rejects adaptive stopping.
-enum class SweepSchedulerKind { kWorkStealing, kStaticPool };
-
 /// The declarative sweep: grid x trial count x seeding x parallelism.
 struct SweepSpec {
   std::string name;               ///< bench/experiment name (report header)
@@ -109,7 +102,6 @@ struct SweepSpec {
   std::uint64_t base_seed = 42;
   unsigned threads = 1;           ///< worker count; 0 = hardware concurrency
   TrialStopping stopping;         ///< fixed by default
-  SweepSchedulerKind scheduler = SweepSchedulerKind::kWorkStealing;
   /// Default round kernel for cells that don't name their own (kScalar is
   /// the only kind).
   kernels::KernelKind kernel = kernels::KernelKind::kScalar;
@@ -209,8 +201,8 @@ struct SweepResult {
   /// cancelled job must never masquerade as a (differently shaped) report.
   bool cancelled = false;
   double wall_seconds = 0.0;  ///< whole-sweep wall clock (not in the JSON)
-  /// Work-stealing execution counters (zero under the static pool). Like
-  /// wall_seconds these are timing-dependent, so they stay out of the JSON.
+  /// Work-stealing execution counters. Like wall_seconds these are
+  /// timing-dependent, so they stay out of the JSON.
   TaskScheduler::Stats scheduler_stats;
 
   /// Unified report: spec header, then one entry per cell with the cell's
@@ -310,13 +302,6 @@ class SweepRunner {
   SweepResult run_job(const SweepTrialFn& fn, const SweepJobOptions& opts) const;
 
  private:
-  SweepResult run_static_pool(const SweepTrialFn& fn,
-                              const SweepJobOptions& opts,
-                              SweepResult result) const;
-  SweepResult run_work_stealing(const SweepTrialFn& fn,
-                                const SweepJobOptions& opts,
-                                SweepResult result) const;
-
   SweepSpec spec_;
 };
 
@@ -346,9 +331,8 @@ struct SweepCliOptions {
   TrialStopping stopping;
 
   /// Applies the shared flags to a spec (trials/base_seed/threads/stopping),
-  /// leaving name/cells/scheduler to the bench. Benches may override
-  /// spec.stopping.metric afterwards to aim --trials auto at their own
-  /// headline metric.
+  /// leaving name/cells to the bench. Benches may override spec.stopping.metric
+  /// afterwards to aim --trials auto at their own headline metric.
   void configure(SweepSpec& spec) const;
 };
 

@@ -1,11 +1,12 @@
-// Work-stealing task scheduler: the execution substrate under SweepRunner.
+// Work-stealing task scheduler: the only code in the library that runs
+// Monte-Carlo trials on threads. SweepRunner fans (cell, trial) tasks out
+// over it, and run_trials (core/runner.hpp) submits one task per trial.
 //
-// The previous pool walked one shared atomic counter over a fixed work-item
-// range, which cannot express *dynamic* work: adaptive trial stopping
-// (--trials auto) submits new trial waves from inside completing tasks, and a
-// grid mixing n=10^3 cells (microseconds) with n=10^11 collapsed cells
-// (seconds) wants expensive cells started early and finished out of order
-// instead of convoying behind the submission order. This scheduler provides:
+// It runs *dynamic* work: adaptive trial stopping (--trials auto) submits new
+// trial waves from inside completing tasks, and a grid mixing n=10^3 cells
+// (microseconds) with n=10^11 collapsed cells (seconds) wants expensive cells
+// started early and finished out of order instead of convoying behind the
+// submission order. This scheduler provides:
 //
 //   * per-worker deques — the owner pushes and pops at the back (LIFO, cache
 //     warm), thieves take from the front (FIFO, oldest first);

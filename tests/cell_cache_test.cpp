@@ -47,11 +47,10 @@ TEST(CanonicalCellKeyTest, KeysContentNotPresentation) {
   SweepSpec a = tiny_spec();
   const std::string key = canonical_cell_key(a, 1, "fn/v1");
   // Presentation-only fields don't move the key: sweep name, cell label,
-  // thread count, scheduler choice (all pinned byte-invariant elsewhere).
+  // thread count (all pinned byte-invariant elsewhere).
   SweepSpec b = tiny_spec();
   b.name = "renamed";
   b.threads = 8;
-  b.scheduler = SweepSchedulerKind::kStaticPool;
   b.cells[1].name = "labelled";
   EXPECT_EQ(canonical_cell_key(b, 1, "fn/v1"), key);
   // Content fields do: position, seed, trial cap, the trial fn identity,

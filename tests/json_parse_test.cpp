@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "ppsim/util/check.hpp"
 #include "ppsim/util/json.hpp"
+#include "ppsim/util/rng.hpp"
 
 namespace ppsim {
 namespace {
@@ -108,14 +111,19 @@ TEST(JsonParseTest, DepthIsCapped) {
   EXPECT_NO_THROW(JsonValue::parse(ok));
 }
 
-TEST(JsonParseTest, RoundTripsWriterOutput) {
+// Writer output exercising escapes, integers, doubles, booleans and arrays.
+std::string writer_sample() {
   JsonObject obj;
   obj.field("name", "sweep \"q\"\n")
       .field("n", std::int64_t{100000})
       .field("bias", 0.7071067811865476)
       .field("ok", true)
       .field("values", std::vector<double>{0.1, 1e13, -0.0});
-  const JsonValue v = JsonValue::parse(obj.str());
+  return obj.str();
+}
+
+TEST(JsonParseTest, RoundTripsWriterOutput) {
+  const JsonValue v = JsonValue::parse(writer_sample());
   EXPECT_EQ(v.at("name").as_string(), "sweep \"q\"\n");
   EXPECT_EQ(v.at("n").as_int(), 100000);
   EXPECT_EQ(v.at("bias").as_number(), 0.7071067811865476);
@@ -123,6 +131,58 @@ TEST(JsonParseTest, RoundTripsWriterOutput) {
   ASSERT_EQ(v.at("values").items().size(), 3u);
   EXPECT_EQ(v.at("values").items()[1].as_number(), 1e13);
   EXPECT_TRUE(std::signbit(v.at("values").items()[2].as_number()));
+}
+
+TEST(JsonParseTest, SeededMutationsParseOrThrowCheckFailure) {
+  // Hostile-input fuzzing: a service submit line and the writer sample, each
+  // hit by 1-8 seeded byte flips, deletions, insertions and truncations.
+  // Every mutant must parse or throw CheckFailure; any other exception (or a
+  // crash, which the sanitizer lane turns loud) is a parser fault.
+  const std::vector<std::string> seeds = {
+      R"({"type": "submit", "n": [200, 300], "k": [2, 3], "engine": )"
+      R"("collapsed", "trials": "auto:0.1", "seed": 3, "threads": 4})",
+      writer_sample(),
+  };
+  // Insertions draw half their bytes from JSON's own alphabet so mutants
+  // reach past the first token.
+  const std::string alphabet = "{}[]\":,\\.-+eE0123456789tfnlrsu \t\n";
+  Xoshiro256pp rng(20250506);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int c = 0; c < 20000; ++c) {
+    std::string text = seeds[rng() % seeds.size()];
+    const int edits = 1 + static_cast<int>(rng() % 8);
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng() % text.size();
+      switch (rng() % 4) {
+        case 0:
+          text[at] = static_cast<char>(text[at] ^ (1 + rng() % 255));
+          break;
+        case 1:
+          text.erase(at, 1);
+          break;
+        case 2:
+          text.insert(at, 1,
+                      rng() % 2 == 0 ? alphabet[rng() % alphabet.size()]
+                                     : static_cast<char>(rng() % 256));
+          break;
+        default:
+          text.resize(at);
+          break;
+      }
+    }
+    try {
+      JsonValue::parse(text);
+      ++parsed;
+    } catch (const CheckFailure&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw " << e.what() << " on: " << text;
+    }
+  }
+  // Both outcomes occur, so the corpus is neither all-garbage nor all-benign.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(JsonParseTest, AcceptsSurroundingWhitespaceOnly) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "ppsim/protocols/usd.hpp"
 #include "ppsim/util/check.hpp"
@@ -60,6 +61,19 @@ TEST(RunnerTest, TrialIndexIsPassedThrough) {
   const auto results = run_trials(trial, 10, 5, 4);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].interactions, static_cast<Interactions>(i));
+  }
+}
+
+TEST(RunnerTest, TrialExceptionsPropagateAtAnyThreadCount) {
+  // A throwing trial must surface as the caller's exception on the serial
+  // and the threaded path alike, never escape a worker thread.
+  auto trial = [](std::uint64_t, std::size_t index) -> TrialResult {
+    if (index == 3) throw std::runtime_error("trial failed");
+    return TrialResult{};
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(run_trials(trial, 8, 1, threads), std::runtime_error)
+        << "threads " << threads;
   }
 }
 

@@ -176,27 +176,6 @@ TEST(SweepJobTest, MidJobCancelDeliversOnlyFullyExecutedCells) {
   }
 }
 
-TEST(SweepJobTest, StaticPoolSupportsTheJobSurface) {
-  // The legacy pool carries the same job semantics: callbacks, skip masks,
-  // and byte-identity with the work-stealing path.
-  SweepSpec spec = counting_spec(4);
-  spec.scheduler = SweepSchedulerKind::kStaticPool;
-  std::mutex mutex;
-  std::set<std::size_t> seen;
-  SweepJobOptions opts;
-  opts.skip = {false, true, false};
-  opts.on_cell = [&](const SweepCellResult& cr) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    seen.insert(cr.cell_index);
-  };
-  const SweepResult pool = SweepRunner(spec).run_job(stream_trial, opts);
-  EXPECT_EQ(seen, (std::set<std::size_t>{0, 2}));
-  EXPECT_EQ(pool.cells[1].trials_run, 0u);
-  const SweepResult ws =
-      SweepRunner(counting_spec(4)).run_job(stream_trial, opts);
-  EXPECT_EQ(pool.to_json(), ws.to_json());
-}
-
 TEST(SweepJobTest, AdaptiveJobsStreamConvergedCells) {
   SweepSpec spec = counting_spec(4, /*cells=*/2, /*trials=*/32);
   spec.stopping.adaptive = true;

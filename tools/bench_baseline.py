@@ -10,7 +10,7 @@ reproduce bit-for-bit on any host at the pinned smoke scale. This script
   1. fails (exit 2) when the report is not parseable JSON or is missing the
      sweep structure — the "malformed JSON" CI gate;
   2. strips the wall-clock metrics (`wall_seconds` and anything derived from
-     it) plus scheduler timing params, canonicalizes, and byte-compares with
+     it) plus timing params, canonicalizes, and byte-compares with
      the baseline (exit 1 on drift);
   3. with --update, rewrites the baseline from the report instead.
 
@@ -25,7 +25,7 @@ import pathlib
 import sys
 
 WALL_CLOCK_METRICS = {"wall_seconds", "interactions_per_second", "speedup"}
-WALL_CLOCK_PARAMS = {"static_seconds", "stealing_seconds", "speedup"}
+WALL_CLOCK_PARAMS = {"speedup"}
 
 
 def canonicalize(report):

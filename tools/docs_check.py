@@ -47,10 +47,6 @@ SMOKE_OVERRIDES = {
 # Binaries whose model limits need smaller smoke sizes than the default.
 PER_BINARY_OVERRIDES = {
     "bench_graph_topology": {"n": "2000"},  # explicit clique capped at 4096
-    # --mixed-grid sizes: the documented imbalanced grid is deliberately
-    # expensive; shrink both cell classes for the smoke run.
-    "bench_throughput": {"small-n": "5000", "large-n": "1000000",
-                         "small-cells": "3"},
     # At the smoke-scale n the documented checkpoint stride would never
     # fire; shrink it so recording recipes exercise the checkpoint path.
     "ppsim_run": {"checkpoint-every": "100000"},
