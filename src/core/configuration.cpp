@@ -29,8 +29,6 @@ Count Configuration::count(State s) const {
   return counts_[s];
 }
 
-void Configuration::move_agent(State from, State to) { move_agents(from, to, 1); }
-
 void Configuration::move_agents(State from, State to, Count m) {
   PPSIM_CHECK(from < counts_.size() && to < counts_.size(), "state out of range");
   PPSIM_CHECK(m >= 0, "cannot move a negative number of agents");

@@ -4,22 +4,9 @@
 
 namespace ppsim {
 
-PairSampler::PairSampler(const Configuration& config)
-    : weights_(config.counts()), population_(config.population()) {
+PairSampler::PairSampler(const std::vector<Count>& counts)
+    : weights_(counts), population_(weights_.total()) {
   PPSIM_CHECK(population_ >= 2, "pair sampling needs at least two agents");
-}
-
-std::pair<State, State> PairSampler::sample(Xoshiro256pp& rng) noexcept {
-  const auto n = static_cast<std::uint64_t>(population_);
-  const auto first =
-      static_cast<State>(weights_.find(static_cast<std::int64_t>(rng.bounded(n))));
-  // Sample the responder among the remaining n-1 agents: remove the
-  // initiator from the urn, draw, and put it back.
-  weights_.add(first, -1);
-  const auto second =
-      static_cast<State>(weights_.find(static_cast<std::int64_t>(rng.bounded(n - 1))));
-  weights_.add(first, +1);
-  return {first, second};
 }
 
 }  // namespace ppsim

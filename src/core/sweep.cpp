@@ -283,7 +283,13 @@ SweepResult SweepRunner::run_job(const SweepTrialFn& fn,
       result.cells[c].trials.resize(trials);
     }
   }
-  if (num_cells == 0) return result;
+  // Nothing to run (e.g. a warm service re-submit): spawn no worker thread.
+  if (std::count(opts.skip.begin(), opts.skip.end(), true) ==
+      static_cast<std::ptrdiff_t>(num_cells)) {
+    result.cancelled =
+        opts.cancel != nullptr && opts.cancel->load(std::memory_order_acquire);
+    return result;
+  }
 
   const auto start = std::chrono::steady_clock::now();
 

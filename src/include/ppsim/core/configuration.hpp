@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ppsim/core/types.hpp"
+#include "ppsim/util/check.hpp"
 
 namespace ppsim {
 
@@ -31,7 +32,13 @@ class Configuration {
 
   /// Moves one agent from state `from` to state `to`.
   /// Throws CheckFailure if no agent is in `from`.
-  void move_agent(State from, State to);
+  void move_agent(State from, State to) {
+    PPSIM_CHECK(from < counts_.size() && to < counts_.size(), "state out of range");
+    if (from == to) return;
+    PPSIM_CHECK(counts_[from] >= 1, "not enough agents in source state");
+    --counts_[from];
+    ++counts_[to];
+  }
 
   /// Moves `m` agents at once (bulk variant used by the Gossip engine).
   void move_agents(State from, State to, Count m);

@@ -8,8 +8,9 @@
 //
 // The engine owns the configuration, the pair sampler and the RNG, so a
 // Simulator is a self-contained, restartable experiment. Stabilization
-// checks run every `stability_check_stride` interactions (exactness is not
-// affected: stability is absorbing, so late detection only costs time).
+// checks run every `stability_check_stride` interactions (the trajectory is
+// exact: stability is absorbing), so run_until_stable reports the count at
+// the detecting check, up to one stride after the stabilizing interaction.
 #pragma once
 
 #include <functional>

@@ -13,7 +13,8 @@
 //   * UsdEngine — a specialized sequential engine for the paper-scale
 //     experiments (n = 10^6, ~10^8 interactions): no virtual dispatch, O(1)
 //     stabilization detection, direct access to the observables the paper
-//     plots (u(t), x_i(t), Δmax(t)).
+//     plots (u(t), x_i(t), Δmax(t)). Its pairs come from Simulator's
+//     PairSampler, so one seed gives both engines the same pair sequence.
 #pragma once
 
 #include <optional>
@@ -23,8 +24,8 @@
 
 #include "ppsim/core/configuration.hpp"
 #include "ppsim/core/protocol.hpp"
+#include "ppsim/core/scheduler.hpp"
 #include "ppsim/core/types.hpp"
-#include "ppsim/util/fenwick.hpp"
 #include "ppsim/util/rng.hpp"
 
 namespace ppsim {
@@ -73,10 +74,10 @@ class UsdEngine {
   UsdEngine(std::vector<Count> opinion_counts, std::uint64_t seed)
       : UsdEngine(std::move(opinion_counts), 0, seed) {}
 
-  Count population() const noexcept { return n_; }
+  Count population() const noexcept { return sampler_.population(); }
   std::size_t num_opinions() const noexcept { return k_; }
   Interactions interactions() const noexcept { return interactions_; }
-  double time() const noexcept { return parallel_time(interactions_, n_); }
+  double time() const noexcept { return parallel_time(interactions_, population()); }
 
   Count undecided() const noexcept { return counts_[0]; }
   Count opinion_count(Opinion i) const;
@@ -93,7 +94,7 @@ class UsdEngine {
   /// O(1) stabilization test: stable iff all agents share one opinion or all
   /// are undecided (the only configurations where f cannot fire).
   bool stabilized() const noexcept {
-    return counts_[0] == n_ || (counts_[0] == 0 && nonzero_opinions_ == 1);
+    return counts_[0] == population() || (counts_[0] == 0 && nonzero_opinions_ == 1);
   }
 
   /// The winning opinion if stabilized on an opinion; nullopt otherwise
@@ -162,13 +163,12 @@ class UsdEngine {
 
  private:
   /// Applies the transition to an already-chosen ordered pair of distinct
-  /// agents in states (a, b), updating counts/weights/survivor bookkeeping.
+  /// agents in states (a, b), updating counts/sampler/survivor bookkeeping.
   bool apply_pair(State a, State b);
 
   std::size_t k_;
-  Count n_;
   std::vector<Count> counts_;      // counts_[0] = undecided, counts_[i+1] = opinion i
-  FenwickTree weights_;            // mirrors counts_ for O(log k) pair sampling
+  PairSampler sampler_;            // mirrors counts_; owns the population size
   Xoshiro256pp rng_;
   Interactions interactions_ = 0;
   std::size_t nonzero_opinions_ = 0;

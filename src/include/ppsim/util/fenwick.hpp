@@ -10,8 +10,12 @@
 //   * inverse-CDF lookup (sampling)  O(log S)
 // where S is the number of states — so one interaction costs O(log S)
 // regardless of the population size n.
+// The tree is padded to P = bit_ceil(S) zero-weight slots (< 2x memory), so
+// find() is a fixed ladder of log2(P) in-bounds steps with no branch on the
+// random target.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -27,20 +31,23 @@ class FenwickTree {
   FenwickTree() = default;
 
   /// Builds a tree of `size` categories, all zero.
-  explicit FenwickTree(std::size_t size) : tree_(size + 1, 0) {}
+  explicit FenwickTree(std::size_t size)
+      : size_(size), tree_(std::bit_ceil(size) + 1, 0), top_(std::bit_ceil(size) / 2) {}
 
-  /// Builds a tree from initial per-category weights in O(S).
+  /// Builds a tree from initial per-category weights in O(P).
   explicit FenwickTree(const std::vector<std::int64_t>& weights)
-      : tree_(weights.size() + 1, 0) {
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      PPSIM_CHECK(weights[i] >= 0, "Fenwick weights must be non-negative");
-      tree_[i + 1] += weights[i];
-      const std::size_t up = (i + 1) + ((i + 1) & -(i + 1));
-      if (up < tree_.size()) tree_[up] += tree_[i + 1];
+      : FenwickTree(weights.size()) {
+    for (std::size_t j = 1; j < tree_.size(); ++j) {
+      if (j <= size_) {
+        PPSIM_CHECK(weights[j - 1] >= 0, "Fenwick weights must be non-negative");
+        tree_[j] += weights[j - 1];
+      }
+      const std::size_t up = j + (j & -j);
+      if (up < tree_.size()) tree_[up] += tree_[j];
     }
   }
 
-  std::size_t size() const noexcept { return tree_.empty() ? 0 : tree_.size() - 1; }
+  std::size_t size() const noexcept { return size_; }
 
   /// Adds `delta` to category `i`. The resulting weight must stay >= 0;
   /// enforced only in debug builds (hot path).
@@ -61,33 +68,26 @@ class FenwickTree {
   }
 
   /// Total weight over all categories.
-  std::int64_t total() const noexcept { return prefix_sum(size()); }
+  std::int64_t total() const noexcept { return prefix_sum(size_); }
 
   /// Returns the smallest category c such that prefix_sum(c+1) > target,
   /// i.e. maps target in [0, total) to a category by inverse CDF.
   /// Precondition: 0 <= target < total().
   std::size_t find(std::int64_t target) const noexcept {
-    std::size_t pos = 0;
-    std::size_t mask = highest_pow2();
-    while (mask > 0) {
-      const std::size_t next = pos + mask;
-      if (next < tree_.size() && tree_[next] <= target) {
-        target -= tree_[next];
-        pos = next;
-      }
-      mask >>= 1;
+    std::size_t pos = 0;  // pos + mask <= P - 1: every probe is in bounds
+    for (std::size_t mask = top_; mask != 0; mask >>= 1) {
+      const std::int64_t block = tree_[pos + mask];
+      const bool take = block <= target;
+      pos += take ? mask : 0;
+      target -= take ? block : 0;
     }
     return pos;  // categories are 0-based; pos counts full prefix blocks
   }
 
  private:
-  std::size_t highest_pow2() const noexcept {
-    std::size_t p = 1;
-    while ((p << 1) < tree_.size()) p <<= 1;
-    return p;
-  }
-
-  std::vector<std::int64_t> tree_;
+  std::size_t size_ = 0;             // S, the number of real categories
+  std::vector<std::int64_t> tree_;   // 1-based, P + 1 slots
+  std::size_t top_ = 0;              // P / 2, the first mask find() probes
 };
 
 }  // namespace ppsim

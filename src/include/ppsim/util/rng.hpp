@@ -85,10 +85,24 @@ class Xoshiro256pp {
   /// (cell, trial) pair maps to the same generator at any thread count.
   Xoshiro256pp stream(std::uint64_t index) const noexcept;
 
-  /// Unbiased uniform integer in [0, bound) via Lemire's method.
+  /// Unbiased uniform integer in [0, bound) via Lemire's multiply-shift
+  /// with rejection; inline, as the exact engines draw it twice a step.
   /// Precondition: bound > 0 (unchecked on the hot path; callers in this
   /// library always pass population sizes >= 1).
-  std::uint64_t bounded(std::uint64_t bound) noexcept;
+  std::uint64_t bounded(std::uint64_t bound) noexcept {
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) [[unlikely]] {
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double canonical() noexcept {

@@ -49,20 +49,14 @@ Configuration UndecidedStateDynamics::initial_configuration(
 
 UsdEngine::UsdEngine(std::vector<Count> opinion_counts, Count undecided,
                      std::uint64_t seed)
-    : k_(opinion_counts.size()), rng_(seed) {
+    : k_(opinion_counts.size()),
+      counts_(UndecidedStateDynamics::initial_configuration(opinion_counts, undecided)
+                  .counts()),
+      sampler_(counts_),
+      rng_(seed) {
   PPSIM_CHECK(k_ >= 1, "USD needs at least one opinion");
-  PPSIM_CHECK(undecided >= 0, "undecided count must be non-negative");
-  counts_.reserve(k_ + 1);
-  counts_.push_back(undecided);
-  n_ = undecided;
-  for (const Count c : opinion_counts) {
-    PPSIM_CHECK(c >= 0, "opinion counts must be non-negative");
-    counts_.push_back(c);
-    n_ += c;
-    if (c > 0) ++nonzero_opinions_;
-  }
-  PPSIM_CHECK(n_ >= 2, "population must have at least two agents");
-  weights_ = FenwickTree(counts_);
+  nonzero_opinions_ = static_cast<std::size_t>(
+      std::count_if(counts_.begin() + 1, counts_.end(), [](Count c) { return c > 0; }));
 }
 
 Count UsdEngine::opinion_count(Opinion i) const {
@@ -79,7 +73,7 @@ Count UsdEngine::min_opinion_count() const noexcept {
 }
 
 std::optional<Opinion> UsdEngine::winner() const {
-  if (!stabilized() || counts_[0] == n_) return std::nullopt;
+  if (!stabilized() || counts_[0] == population()) return std::nullopt;
   for (std::size_t i = 1; i < counts_.size(); ++i) {
     if (counts_[i] > 0) return static_cast<Opinion>(i - 1);
   }
@@ -87,15 +81,7 @@ std::optional<Opinion> UsdEngine::winner() const {
 }
 
 bool UsdEngine::step() {
-  // Draw an ordered pair of distinct agents: initiator uniform among n, then
-  // responder uniform among the remaining n-1 (the initiator's agent is
-  // removed from the urn for the second draw).
-  const auto a = static_cast<State>(
-      weights_.find(static_cast<std::int64_t>(rng_.bounded(static_cast<std::uint64_t>(n_)))));
-  weights_.add(a, -1);
-  const auto b = static_cast<State>(weights_.find(
-      static_cast<std::int64_t>(rng_.bounded(static_cast<std::uint64_t>(n_ - 1)))));
-  weights_.add(a, +1);
+  const auto [a, b] = sampler_.sample(rng_);
   ++interactions_;
   return apply_pair(a, b);
 }
@@ -108,8 +94,7 @@ bool UsdEngine::apply_pair(State a, State b) {
     const State d = a == 0 ? b : a;
     --counts_[0];
     ++counts_[d];
-    weights_.add(0, -1);
-    weights_.add(d, +1);
+    sampler_.move_agent(0, d);
     // counts_[d] was >= 1 before (an agent occupies it), so the set of
     // surviving opinions is unchanged.
     return true;
@@ -119,9 +104,8 @@ bool UsdEngine::apply_pair(State a, State b) {
   --counts_[a];
   --counts_[b];
   counts_[0] += 2;
-  weights_.add(a, -1);
-  weights_.add(b, -1);
-  weights_.add(0, +2);
+  sampler_.move_agent(a, 0);
+  sampler_.move_agent(b, 0);
   if (counts_[a] == 0) --nonzero_opinions_;
   if (counts_[b] == 0) --nonzero_opinions_;
   return true;
@@ -140,18 +124,16 @@ bool UsdEngine::force_interaction(State initiator, State responder) {
 void UsdEngine::add_agent(State s) {
   PPSIM_CHECK(s <= k_, "state out of range");
   ++counts_[s];
-  weights_.add(s, +1);
-  ++n_;
+  sampler_.add_agent(s);
   if (s != 0 && counts_[s] == 1) ++nonzero_opinions_;
 }
 
 void UsdEngine::remove_agent(State s) {
   PPSIM_CHECK(s <= k_, "state out of range");
   PPSIM_CHECK(counts_[s] > 0, "no agent occupies the departing state");
-  PPSIM_CHECK(n_ > 2, "population cannot shrink below two agents");
+  PPSIM_CHECK(population() > 2, "population cannot shrink below two agents");
   --counts_[s];
-  weights_.add(s, -1);
-  --n_;
+  sampler_.remove_agent(s);
   if (s != 0 && counts_[s] == 0) --nonzero_opinions_;
 }
 
@@ -161,8 +143,7 @@ void UsdEngine::corrupt_agent(State from, State to) {
   if (from == to) return;
   --counts_[from];
   ++counts_[to];
-  weights_.add(from, -1);
-  weights_.add(to, +1);
+  sampler_.move_agent(from, to);
   if (from != 0 && counts_[from] == 0) --nonzero_opinions_;
   if (to != 0 && counts_[to] == 1) ++nonzero_opinions_;
 }

@@ -78,20 +78,4 @@ Xoshiro256pp Xoshiro256pp::stream(std::uint64_t index) const noexcept {
   return out;
 }
 
-std::uint64_t Xoshiro256pp::bounded(std::uint64_t bound) noexcept {
-  // Lemire's multiply-shift with rejection of the biased low region.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 }  // namespace ppsim

@@ -132,6 +132,55 @@ TEST(FenwickTree, RandomizedAgainstNaiveReference) {
   }
 }
 
+// Inverse CDF by linear scan: the definition find() must reproduce.
+std::size_t linear_find(const std::vector<std::int64_t>& w, std::int64_t target) {
+  std::size_t c = 0;
+  while (target >= w[c]) target -= w[c++];
+  return c;
+}
+
+void expect_find_matches_linear_scan(const FenwickTree& t,
+                                     const std::vector<std::int64_t>& w) {
+  std::int64_t total = 0;
+  for (const std::int64_t x : w) total += x;
+  ASSERT_EQ(t.total(), total);
+  for (std::int64_t target = 0; target < total; ++target) {
+    ASSERT_EQ(t.find(target), linear_find(w, target))
+        << "size " << w.size() << ", target " << target;
+  }
+}
+
+TEST(FenwickTree, FindMatchesLinearScanForEveryTarget) {
+  // Sizes on both sides of powers of two (the tree pads to the next one),
+  // zero-weight categories throughout, and adds that empty categories —
+  // the first and the last included — and refill them.
+  for (const std::size_t size : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 65u}) {
+    Xoshiro256pp rng(size);
+    std::vector<std::int64_t> w(size);
+    for (auto& x : w) x = rng.bernoulli(0.3) ? 0 : static_cast<std::int64_t>(rng.bounded(4));
+    w[rng.bounded(size)] += 1;  // at least one target
+    FenwickTree t(w);
+    expect_find_matches_linear_scan(t, w);
+    for (int op = 0; op < 40; ++op) {
+      std::size_t i = static_cast<std::size_t>(rng.bounded(size));
+      if (op == 0) i = 0;
+      if (op == 1) i = size - 1;
+      // Empty category i, or refill it with 1–3 units.
+      const std::int64_t delta =
+          w[i] > 0 ? -w[i] : static_cast<std::int64_t>(1 + rng.bounded(3));
+      t.add(i, delta);
+      w[i] += delta;
+      std::int64_t total = 0;
+      for (const std::int64_t x : w) total += x;
+      if (total == 0) {  // keep one unit so find() has a target
+        t.add(i, 1);
+        w[i] = 1;
+      }
+      expect_find_matches_linear_scan(t, w);
+    }
+  }
+}
+
 TEST(FenwickTree, SamplingDistributionMatchesWeights) {
   FenwickTree t(std::vector<std::int64_t>{1, 2, 3, 4});
   Xoshiro256pp rng(555);

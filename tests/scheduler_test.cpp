@@ -2,13 +2,16 @@
 // uniformly. With counts-based states this means:
 //   P[first in state a]  = count(a)/n
 //   P[(a, b)]            = count(a)·(count(b) - [a=b]) / (n(n-1)).
-// We verify the exact pair distribution with a chi-square test and check
-// without-replacement behaviour on singleton states.
+// We verify the exact pair distribution with a chi-square test, check
+// without-replacement behaviour on singleton states, and pin the index-shift
+// responder draw to the remove/draw/re-add urn it replaces, draw for draw.
 #include "ppsim/core/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "ppsim/util/check.hpp"
@@ -108,6 +111,70 @@ TEST(PairSamplerTest, MoveAgentKeepsSamplerInSync) {
     const auto [a, b] = sampler.sample(rng);
     EXPECT_EQ(a, 1u);
     EXPECT_EQ(b, 1u);
+  }
+}
+
+// The urn the index-shift draw replaces, on plain counts: initiator at
+// agent index bounded(n), remove it from the urn, responder at index
+// bounded(n - 1), put the initiator back. Linear scans keep it independent
+// of the Fenwick tree.
+State linear_state_at(const std::vector<Count>& counts, std::uint64_t agent) {
+  auto remaining = static_cast<Count>(agent);
+  for (std::size_t s = 0;; ++s) {
+    if (remaining < counts[s]) return static_cast<State>(s);
+    remaining -= counts[s];
+  }
+}
+
+std::pair<State, State> reference_sample(std::vector<Count>& counts, Count n,
+                                         Xoshiro256pp& rng) {
+  const State a = linear_state_at(counts, rng.bounded(static_cast<std::uint64_t>(n)));
+  --counts[a];
+  const State b = linear_state_at(counts, rng.bounded(static_cast<std::uint64_t>(n - 1)));
+  ++counts[a];
+  return {a, b};
+}
+
+TEST(PairSamplerTest, IndexShiftDrawMatchesTheRemoveDrawReaddUrn) {
+  // 10^5 draws per state-space size, on small random counts with zero-count
+  // states; after each draw one agent moves (emptying and refilling states),
+  // so the draws cover many configurations.
+  constexpr int kDraws = 100000;
+  for (const std::size_t size : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 65u}) {
+    Xoshiro256pp setup(1000 + size);
+    std::vector<Count> counts(size);
+    for (Count& c : counts) c = setup.bernoulli(0.3) ? 0 : static_cast<Count>(setup.bounded(5));
+    counts[setup.bounded(size)] += 2;  // population >= 2
+    Count n = 0;
+    for (const Count c : counts) n += c;
+
+    PairSampler sampler{Configuration(counts)};
+    Xoshiro256pp fast(size);
+    Xoshiro256pp reference(size);
+    for (int i = 0; i < kDraws; ++i) {
+      const auto expected = reference_sample(counts, n, reference);
+      ASSERT_EQ(sampler.sample(fast), expected) << "S = " << size << ", draw " << i;
+      const State from = linear_state_at(counts, setup.bounded(static_cast<std::uint64_t>(n)));
+      const auto to = static_cast<State>(setup.bounded(size));
+      --counts[from];
+      ++counts[to];
+      sampler.move_agent(from, to);
+    }
+  }
+}
+
+TEST(PairSamplerTest, ChurnKeepsThePopulationAndTheDrawInSync) {
+  std::vector<Count> counts = {0, 3, 0, 1};
+  PairSampler sampler{Configuration(counts)};
+  sampler.add_agent(2);
+  sampler.add_agent(0);
+  sampler.remove_agent(1);
+  counts = {1, 2, 1, 1};
+  EXPECT_EQ(sampler.population(), 5);
+  Xoshiro256pp fast(5);
+  Xoshiro256pp reference(5);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(sampler.sample(fast), reference_sample(counts, 5, reference)) << i;
   }
 }
 

@@ -94,6 +94,33 @@ TEST(SweepJobTest, SkippedCellsStayEmptyAtTheirOriginalIndex) {
   EXPECT_EQ(result.cells[1].trials, full.cells[1].trials);
 }
 
+TEST(SweepJobTest, AllSkippedJobRunsNothing) {
+  // A warm service re-submit: every cell comes from the cache. The job runs
+  // no trial, fires no callback and returns every cell empty at its index.
+  std::atomic<int> ran{0};
+  SweepJobOptions opts;
+  opts.skip = {true, true, true};
+  opts.on_cell = [&](const SweepCellResult&) { ++ran; };
+  const SweepResult result = SweepRunner(counting_spec(4)).run_job(
+      [&](const SweepTrial& ctx) {
+        ++ran;
+        return stream_trial(ctx);
+      },
+      opts);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(result.scheduler_stats.executed, 0u);
+  EXPECT_FALSE(result.cancelled);
+  ASSERT_EQ(result.cells.size(), 3u);
+  for (std::size_t c = 0; c < result.cells.size(); ++c) {
+    const SweepCellResult& cr = result.cells[c];
+    EXPECT_EQ(cr.cell_index, c);
+    EXPECT_EQ(cr.trials_requested, 4u);
+    EXPECT_EQ(cr.trials_run, 0u);
+    EXPECT_TRUE(cr.trials.empty());
+    EXPECT_TRUE(cr.aggregates.empty());
+  }
+}
+
 TEST(SweepJobTest, SpliceAfterSkipReproducesTheFullRunByteForByte) {
   // The invariant the cell cache is built on: run cells {0,2} in one job and
   // cell {1} in another (skipping complements), splice the completed cells
